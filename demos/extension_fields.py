@@ -24,7 +24,7 @@ def main() -> None:
         q = p * p
         count = count_points(spec, build_field(p, 2))
         unit = count // q ** data.mu % p
-        value = hasse_value(system, p, spec.coefficients, 2, data)
+        value = hasse_value(system, p, spec.coefficients, 2)
         print(f"F_{q}: count = {count} = q(2q-1) -> {count == q * (2 * q - 1)},"
               f" ord_q = {ord_q(count, p, 2)},"
               f" H^[2](1,1) = {value} = unit mod p ({unit})")

@@ -28,15 +28,15 @@ def main() -> None:
         points = ", ".join(f"t={lp.t} v={lp.v}" for lp in data.zmin[pair])
         print(f"  B={set(pair.B)} C={set(pair.C)}: w_Z={w}, Z^min = {points}")
 
-    rep = conditional_number(system, data)
+    rep = conditional_number(system)
     print(f"\nD = {set(rep.D_set)}, sparsity = {rep.sparsity}, c = {rep.c_value}")
     print("c = -1 predicts ord_p = mu exactly, with |V|/p^mu = -1 mod p,")
     print("for every large prime and every choice of unit coefficients.\n")
 
     spec = unit_variety(system)
     for p in (5, 7, 11):
-        H = hasse_polynomial(system, p, 1, data)
-        value = hasse_value(system, p, spec.coefficients, 1, data)
+        H = hasse_polynomial(system, p, 1)
+        value = hasse_value(system, p, spec.coefficients, 1)
         count = count_points(spec, build_field(p, 1))
         unit = count // p ** data.mu % p
         print(f"p = {p:2}: count = {count:5}, ord = {ord_q(count, p)},"

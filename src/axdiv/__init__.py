@@ -8,7 +8,6 @@ and a truncated Dwork trace formula.
 
 from .bounds import (
     BoundReport,
-    adolphson_sperber_weight,
     ax_katz_bound,
     bound_report,
     digit_sum,
@@ -38,7 +37,6 @@ from .ffcount import (
     count_points,
     count_report,
     ord_q,
-    worker_count,
 )
 from .geometry import (
     Feasibility,
@@ -57,7 +55,7 @@ from .hasse import (
     HomogeneityReport,
     SparsePolynomialModP,
     artin_hasse_coefficients,
-    evaluate_hasse,
+    checked_hasse_polynomial,
     g_polynomial,
     hasse_blocks,
     hasse_polynomial,
@@ -99,7 +97,6 @@ from .reports import (
     density_document,
     density_estimate,
     parse_report,
-    primes_upto,
     record_document,
     render_csv,
     render_json,
@@ -114,6 +111,7 @@ from .representations import (
     conditional_number,
     default_theta,
     denominator_set,
+    primes_upto,
     rational_representations,
 )
 

@@ -3,7 +3,7 @@
 ax_katz_bound and moreno_moreno_bound are closed formulas in the degrees and
 p-adic digit sums.  mu comes from two independent computations, the minimal
 dilation of the Newton polytope and the combinatorial minimum over subset
-pairs; they are cross-checked on every call.
+pairs; minimal_data cross-checks them once per system.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import minimal_data, weight_polytope
+from .lattice import minimal_data
 from .model import ExponentVector, SupportSystem
 
 
@@ -58,33 +58,26 @@ def moreno_moreno_bound(system: SupportSystem, p: int, a: int = 1) -> Fraction:
     return Fraction(math.ceil(Fraction(top, max(sigmas))), a)
 
 
-def adolphson_sperber_weight(system: SupportSystem) -> int:
-    """The weight w(f); integral whenever finite.  Raises WeightUnreachableError."""
-    return weight_polytope(system)
-
-
 def mu(system: SupportSystem) -> int:
     """w(f) - r, cross-checked against the combinatorial minimum.
 
     ConsistencyError from the lattice layer means the two routes disagree,
     which would be an implementation bug rather than unusual input.
     """
-    mu_hat = weight_polytope(system) - system.r
-    data = minimal_data(system, mu_hat)
-    return data.mu
+    return minimal_data(system).mu
 
 
 def bound_report(system: SupportSystem, p: int = 2, a: int = 1) -> BoundReport:
+    """The bounds of one system; both mu fields hold minimal_data's mu, which
+    exists only when the polytope and combinatorial routes agree."""
     ak = ax_katz_bound(system.n, system.degrees())
     mm = moreno_moreno_bound(system, p, a)
-    w = weight_polytope(system)
-    mu_hat = w - system.r
-    data = minimal_data(system, mu_hat)
+    data = minimal_data(system)
     return BoundReport(
         ax_katz=ak,
         ax_katz_vacuous=ak < 0,
         moreno_moreno=mm,
-        w_polytope=w,
-        mu_polytope=mu_hat,
+        w_polytope=data.mu + system.r,
+        mu_polytope=data.mu,
         mu_combinatorial=data.mu,
     )

@@ -17,8 +17,8 @@ from .bounds import bound_report
 from .corpus import generate_corpus
 from .dwork import GammaError, NonIntegralError, trace_formula_count
 from .ffcount import CountGuardError, build_field, count_points, count_report
-from .hasse import hasse_polynomial, homogeneity_report
-from .lattice import ConsistencyError, WeightUnreachableError, minimal_data
+from .hasse import checked_hasse_polynomial
+from .lattice import ConsistencyError, WeightUnreachableError
 from .model import (
     SpecError,
     VarietySpec,
@@ -34,7 +34,7 @@ from .reports import (
     render_json,
     sharpness_scan,
 )
-from .representations import conditional_number
+from .representations import conditional_number, primes_upto
 
 _RANGE_RE = re.compile(r"([0-9]+)\.\.([0-9]+)\Z")
 
@@ -55,8 +55,6 @@ def _load_spec(path: str) -> VarietySpec:
 
 
 def _prime_list(args) -> list[int]:
-    from .reports import primes_upto
-
     if getattr(args, "prime", None) is not None:
         return [args.prime]
     if getattr(args, "primes", None) is not None:
@@ -161,8 +159,7 @@ def cmd_hasse(args) -> int:
     spec = _load_spec(args.spec)
     if args.prime is None:
         raise InputError("--prime is required")
-    H = hasse_polynomial(spec.system, args.prime, args.a)
-    hom = homogeneity_report(H, spec.system, args.prime, args.a)
+    H, hom = checked_hasse_polynomial(spec.system, args.prime, args.a)
     body = {"p": args.prime, "a": args.a, "polynomial": str(H),
             "homogeneous": hom.ok, "issues": list(hom.issues)}
     lines = [f"H_{args.prime}^[{args.a}] = {H}",

@@ -9,13 +9,12 @@ integers; the only approximations in this package live in dwork.py.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .lattice import minimal_data
 from .model import VarietySpec
 
 # q**n above this raises instead of grinding; counting is meant for unit tests
@@ -126,31 +125,19 @@ def _embed_coefficient(value: Fraction, field: FiniteField) -> int:
     return value.numerator * pow(value.denominator, -1, p) % p
 
 
-def worker_count() -> int:
-    raw = os.environ.get("AXDIV_THREADS", "")
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 1
-    return max(1, min(requested, os.cpu_count() or 1))
-
-
 # rows of the first axis handled per chunk, sized to keep the residue grid
 # around a few million int64 entries
 CHUNK_CELLS = 4 * 10 ** 6
 
 
-def _run_chunks(count_chunk, axis_len: int, cells_per_row: int, workers: int) -> int:
+def _run_chunks(count_chunk, axis_len: int, cells_per_row: int) -> int:
     step = max(1, CHUNK_CELLS // max(1, cells_per_row))
     bounds = list(range(0, axis_len, step)) + [axis_len]
     starts, stops = bounds[:-1], bounds[1:]
-    if workers <= 1 or len(starts) == 1:
-        return sum(count_chunk(lo, hi) for lo, hi in zip(starts, stops))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(count_chunk, starts, stops))
+    return sum(count_chunk(lo, hi) for lo, hi in zip(starts, stops))
 
 
-def _count_prime_field(spec: VarietySpec, p: int, workers: int) -> int:
+def _count_prime_field(spec: VarietySpec, p: int) -> int:
     """Vectorized count over F_p: per-variable power tables, broadcast sum."""
     n = spec.system.n
     keys = spec.system.coefficient_keys()
@@ -187,10 +174,10 @@ def _count_prime_field(spec: VarietySpec, p: int, workers: int) -> int:
             mask &= total == 0
         return int(np.count_nonzero(mask))
 
-    return _run_chunks(count_chunk, p, p ** (n - 1), workers)
+    return _run_chunks(count_chunk, p, p ** (n - 1))
 
 
-def _count_extension_field(spec: VarietySpec, field: FiniteField, workers: int) -> int:
+def _count_extension_field(spec: VarietySpec, field: FiniteField) -> int:
     n = spec.system.n
     q = field.q
     add, mul = _field_tables(field)
@@ -235,21 +222,18 @@ def _count_extension_field(spec: VarietySpec, field: FiniteField, workers: int) 
             mask &= total == 0
         return int(np.count_nonzero(mask))
 
-    return _run_chunks(count_chunk, q, q ** (n - 1), workers)
+    return _run_chunks(count_chunk, q, q ** (n - 1))
 
 
-def count_points(spec: VarietySpec, field: FiniteField,
-                 workers: int | None = None) -> int:
+def count_points(spec: VarietySpec, field: FiniteField) -> int:
     """Number of solutions of f = 0 in the affine space over the field."""
     n = spec.system.n
     if field.q ** n > POINT_BUDGET:
         raise CountGuardError(
             f"q^n = {field.q ** n} exceeds the enumeration budget {POINT_BUDGET}")
-    if workers is None:
-        workers = worker_count()
     if field.a == 1:
-        return _count_prime_field(spec, field.p, workers)
-    return _count_extension_field(spec, field, workers)
+        return _count_prime_field(spec, field.p)
+    return _count_extension_field(spec, field)
 
 
 def ord_q(count: int, p: int, a: int = 1) -> Fraction | float:
@@ -275,13 +259,9 @@ class CountReport:
     meets_bound: bool
 
 
-def count_report(spec: VarietySpec, p: int, a: int = 1, mu: int | None = None,
-                 workers: int | None = None) -> CountReport:
-    from .bounds import mu as mu_fn
-
-    if mu is None:
-        mu = mu_fn(spec.system)
+def count_report(spec: VarietySpec, p: int, a: int = 1) -> CountReport:
+    mu = minimal_data(spec.system).mu
     field = build_field(p, a)
-    c = count_points(spec, field, workers)
+    c = count_points(spec, field)
     val = ord_q(c, p, a)
     return CountReport(p, a, c, val, mu, bool(val >= mu))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .geometry import enumerate_integral_points, fiber_polytope
-from .lattice import LatticePair, MinimalData, minimal_data
+from .lattice import LatticePair, minimal_data
 from .model import CoefficientKey, SubsetPair, SupportSystem, restrict_support
 
 
@@ -227,16 +227,14 @@ def g_polynomial(system: SupportSystem, lp: LatticePair, scale: int,
     return _g_general(system, lp.pair, budgets, target, p, _delta_residues(deltas, p))
 
 
-def hasse_blocks(system: SupportSystem, p: int, a: int = 1,
-                 data: MinimalData | None = None
+def hasse_blocks(system: SupportSystem, p: int, a: int = 1
                  ) -> dict[SubsetPair, SparsePolynomialModP]:
     """Signed per-pair trace blocks of H_p^[a], keyed by the pairs of K."""
     if a not in (1, 2):
         raise ValueError("a must be 1 or 2")
     if a == 2 and p > 13:
         raise ValueError("a=2 is limited to p <= 13 (degree growth)")
-    if data is None:
-        data = minimal_data(system)
+    data = minimal_data(system)
     max_budget = max((p * lp.total for pairs in data.zmin.values() for lp in pairs),
                      default=0)
     delta_res = _delta_residues(artin_hasse_coefficients(p, max_budget), p)
@@ -266,32 +264,30 @@ def hasse_blocks(system: SupportSystem, p: int, a: int = 1,
     return blocks
 
 
-def hasse_polynomial(system: SupportSystem, p: int, a: int = 1,
-                     data: MinimalData | None = None) -> SparsePolynomialModP:
-    """H_p^[a](A) over F_p; warns when distinct blocks share a monomial."""
-    blocks = hasse_blocks(system, p, a, data)
+def _sum_blocks(system: SupportSystem, p: int,
+                blocks: Mapping[SubsetPair, SparsePolynomialModP]) -> SparsePolynomialModP:
+    """H as the sum of its blocks; warns when distinct blocks share a monomial."""
     total = zero_polynomial(system, p)
     seen: set[tuple[int, ...]] = set()
     for pair, block in blocks.items():
         overlap = seen & block.monomials()
         if overlap:
-            warnings.warn(f"blocks share monomials at {pair.B}/{pair.C}", stacklevel=2)
+            warnings.warn(f"blocks share monomials at {pair.B}/{pair.C}", stacklevel=3)
         seen |= block.monomials()
         total = total + block
     return total
 
 
-def evaluate_hasse(H: SparsePolynomialModP,
-                   coeffs: Mapping[CoefficientKey, int | Fraction]) -> int:
-    return H.evaluate(coeffs)
+def hasse_polynomial(system: SupportSystem, p: int, a: int = 1) -> SparsePolynomialModP:
+    """H_p^[a](A) over F_p; warns when distinct blocks share a monomial."""
+    return _sum_blocks(system, p, hasse_blocks(system, p, a))
 
 
 def hasse_value(system: SupportSystem, p: int,
-                coeffs: Mapping[CoefficientKey, int | Fraction], a: int = 1,
-                data: MinimalData | None = None) -> int:
+                coeffs: Mapping[CoefficientKey, int | Fraction], a: int = 1) -> int:
     """H_p^[a] evaluated at a full unit-residue assignment.
 
-    Agrees with evaluate_hasse(hasse_polynomial(...), coeffs) but skips the
+    Agrees with hasse_polynomial(...).evaluate(coeffs) but skips the
     symbolic polynomial, whose term count grows quickly with p; the per-pair
     block values come from the partial-sum form of G instead.
     """
@@ -299,8 +295,7 @@ def hasse_value(system: SupportSystem, p: int,
         raise ValueError("a must be 1 or 2")
     if a == 2 and p > 13:
         raise ValueError("a=2 is limited to p <= 13 (degree growth)")
-    if data is None:
-        data = minimal_data(system)
+    data = minimal_data(system)
     residues: dict[CoefficientKey, int] = {}
     for key in system.coefficient_keys():
         if key not in coeffs:
@@ -352,17 +347,25 @@ class HomogeneityReport:
 
 
 def homogeneity_report(H: SparsePolynomialModP, system: SupportSystem, p: int,
-                       a: int = 1, data: MinimalData | None = None) -> HomogeneityReport:
+                       a: int = 1) -> HomogeneityReport:
     """Structural checks: each block homogeneous of degree (p^a - 1) * w_Z with
     per-variable degree below p^a, blocks disjoint and summing to H, H nonzero."""
-    if data is None:
-        data = minimal_data(system)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        blocks = hasse_blocks(system, p, a, data)
+    return _block_report(H, system, p, a, hasse_blocks(system, p, a))
+
+
+def checked_hasse_polynomial(system: SupportSystem, p: int, a: int = 1
+                             ) -> tuple[SparsePolynomialModP, HomogeneityReport]:
+    """hasse_polynomial and its homogeneity_report from one set of blocks."""
+    blocks = hasse_blocks(system, p, a)
+    H = _sum_blocks(system, p, blocks)
+    return H, _block_report(H, system, p, a, blocks)
+
+
+def _block_report(H: SparsePolynomialModP, system: SupportSystem, p: int, a: int,
+                  blocks: Mapping[SubsetPair, SparsePolynomialModP]) -> HomogeneityReport:
     issues: list[str] = []
     degrees: dict[SubsetPair, int] = {}
-    weights = dict(data.K)
+    weights = dict(minimal_data(system).K)
     total = zero_polynomial(system, p)
     seen: set[tuple[int, ...]] = set()
     for pair, block in blocks.items():

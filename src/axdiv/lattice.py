@@ -10,11 +10,22 @@ w(f) - r; both are computed here and a disagreement raises ConsistencyError.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .geometry import lp_feasible, minimal_dilation, rational_lp
+from .geometry import (
+    FiberPolytope,
+    Point,
+    enumerate_vertices,
+    fiber_polytope,
+    lp_feasible,
+    minimal_dilation,
+    rational_lp,
+)
 from .model import (
     ExponentVector,
     SubsetPair,
@@ -49,11 +60,24 @@ class LatticePair:
 
 @dataclass(frozen=True)
 class MinimalData:
-    """mu, the minimizing pair set K with weights, and Zmin per pair."""
+    """mu, the minimizing pair set K with weights, Zmin per pair, and the
+    level-1 fiber of every minimal lattice pair.  Read-only, since one
+    instance is shared by every caller that analyses the same system."""
 
     mu: int
     K: tuple[tuple[SubsetPair, int], ...]
     zmin: Mapping[SubsetPair, tuple[LatticePair, ...]]
+    fibers: Mapping[LatticePair, FiberPolytope]
+
+    @cached_property
+    def vertices(self) -> Mapping[LatticePair, tuple[tuple[Point, ...], int]]:
+        """Vertices and affine dimension of every minimal level-1 fiber,
+        enumerated on first use."""
+        out = {}
+        for lp, fiber in self.fibers.items():
+            vertices, dim = enumerate_vertices(fiber)
+            out[lp] = (tuple(vertices), dim)
+        return MappingProxyType(out)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -232,17 +256,24 @@ def weight_polytope(system: SupportSystem) -> int:
     raise WeightUnreachableError("no positive integral point in any dilation")
 
 
-def minimal_data(system: SupportSystem, mu_hat: int | None = None) -> MinimalData:
-    """mu, K and Zmin over all subset pairs.
+# one analysis per live system; an entry goes when its system is collected
+_ANALYSES: weakref.WeakKeyDictionary[SupportSystem, MinimalData] = weakref.WeakKeyDictionary()
 
-    mu_hat is the polytope-route value w(f) - r, computed when not supplied.
-    It caps every per-pair weight scan: a pair can only reach
-    n - |B| - |C| + w_Z = mu_hat when w_Z <= mu_hat + |B| + |C| - n, and since
-    w_Z >= |B| the term never drops below n - |C|.  The capped scan still
-    certifies the minimum, so any disagreement with mu_hat is an error.
+
+def minimal_data(system: SupportSystem) -> MinimalData:
+    """mu, K and Zmin over all subset pairs, computed once per system.
+
+    Equal systems share one result for as long as the first of them lives.
+    The polytope-route value mu_hat = w(f) - r caps every per-pair weight
+    scan: a pair can only reach n - |B| - |C| + w_Z = mu_hat when
+    w_Z <= mu_hat + |B| + |C| - n, and since w_Z >= |B| the term never drops
+    below n - |C|.  The capped scan still certifies the minimum, so any
+    disagreement with mu_hat is an error.
     """
-    if mu_hat is None:
-        mu_hat = weight_polytope(system) - system.r
+    cached = _ANALYSES.get(system)
+    if cached is not None:
+        return cached
+    mu_hat = weight_polytope(system) - system.r
     n, r = system.n, system.r
     weights: dict[SubsetPair, int] = {}
     best: int | None = None
@@ -264,7 +295,11 @@ def minimal_data(system: SupportSystem, mu_hat: int | None = None) -> MinimalDat
     K = tuple((pair, w) for pair, w in weights.items()
               if n - len(pair.B) - len(pair.C) + w == mu_hat)
     zmin = {pair: tuple(zmin_for_pair(system, pair)) for pair, _ in K}
-    return MinimalData(mu_hat, K, zmin)
+    fibers = {lp: fiber_polytope(system, pair, lp.t, lp.v, level=1)
+              for pair, lps in zmin.items() for lp in lps}
+    data = _ANALYSES[system] = MinimalData(mu_hat, K, MappingProxyType(zmin),
+                                           MappingProxyType(fibers))
+    return data
 
 
 @dataclass(frozen=True)

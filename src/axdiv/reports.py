@@ -12,29 +12,16 @@ import io
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import mu as mu_fn
-from .ffcount import build_field, count_points, ord_q, worker_count
+from .ffcount import build_field, count_points, ord_q
 from .hasse import hasse_value
 from .lattice import minimal_data
 from .model import SpecError, VarietySpec
-from .representations import admissible_primes, default_theta, denominator_set
+from .representations import admissible_primes, default_theta, denominator_set, primes_upto
 
 SCHEMA = "axdiv/1"
-
-
-def primes_upto(limit: int) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1) if limit >= 0 else bytearray()
-    out = []
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            out.append(p)
-            for m in range(p * p, limit + 1, p):
-                sieve[m] = 0
-    return out
 
 
 @dataclass(frozen=True)
@@ -72,24 +59,22 @@ def _coefficient_blockers(spec: VarietySpec, p: int) -> str | None:
     return None
 
 
-def sharpness_record(spec: VarietySpec, p: int, a: int = 1, mu: int | None = None,
-                     admissible: bool = True, data=None,
-                     count_workers: int = 1) -> SharpnessRecord:
+def sharpness_record(spec: VarietySpec, p: int, a: int = 1,
+                     admissible: bool = True) -> SharpnessRecord:
     """One prime's worth of evidence: count, valuation, Hasse value, congruence."""
     system = spec.system
-    if mu is None:
-        mu = mu_fn(system)
+    mu = minimal_data(system).mu
     blocker = _coefficient_blockers(spec, p)
     if blocker is not None and "denominator" in blocker:
         return SharpnessRecord(p, a, mu, admissible, None, None, None, None, None,
                                None, blocker)
-    count = count_points(spec, build_field(p, a), workers=count_workers)
+    count = count_points(spec, build_field(p, a))
     val = ord_q(count, p, a)
     observed = val == mu
     if blocker is not None:
         return SharpnessRecord(p, a, mu, admissible, count, val, None, None,
                                observed, None, blocker)
-    value = hasse_value(system, p, spec.coefficients, a, data)
+    value = hasse_value(system, p, spec.coefficients, a)
     predicted = value != 0
     unit_mod = p ** (a * mu)
     congruent = count % unit_mod == 0 and (count // unit_mod) % p == value
@@ -98,29 +83,16 @@ def sharpness_record(spec: VarietySpec, p: int, a: int = 1, mu: int | None = Non
 
 
 def sharpness_scan(spec: VarietySpec, primes: list[int], a: int = 1,
-                   theta: int | None = None,
-                   workers: int | None = None) -> list[SharpnessRecord]:
+                   theta: int | None = None) -> list[SharpnessRecord]:
     """Records for the given primes in order; inadmissible primes are scanned
     too but flagged, since only admissible ones carry the sharpness theorem."""
     system = spec.system
-    data = minimal_data(system)
-    mu = data.mu
     if theta is None:
         theta = default_theta(system)
-    D = denominator_set(system, data)
+    D = denominator_set(system, minimal_data(system))
     limit = max(primes, default=2)
     admissible = set(admissible_primes(D, theta, limit))
-    if workers is None:
-        workers = worker_count()
-
-    def build(p: int) -> SharpnessRecord:
-        return sharpness_record(spec, p, a, mu, p in admissible, data,
-                                count_workers=1)
-
-    if workers > 1 and len(primes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(build, primes))
-    return [build(p) for p in primes]
+    return [sharpness_record(spec, p, a, p in admissible) for p in primes]
 
 
 def density_estimate(spec: VarietySpec, limit: int,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .geometry import enumerate_integral_points, enumerate_vertices, fiber_polytope
+from .geometry import enumerate_integral_points
 from .lattice import LatticePair, MinimalData, minimal_data
 from .model import CoefficientKey, SupportSystem
 
@@ -36,40 +36,35 @@ class ConditionalReport:
     warnings: tuple[str, ...]
 
 
-def _level1_fiber(system: SupportSystem, lp: LatticePair):
-    return fiber_polytope(system, lp.pair, lp.t, lp.v, level=1)
-
-
 def rational_representations(system: SupportSystem, lp: LatticePair
                              ) -> list[RationalRepresentation]:
-    """Vertex-derived representations of a minimal lattice pair.
+    """Vertex-derived representations of a minimal lattice pair of Zmin.
 
     Each fiber vertex u, written jointly in lowest terms as r/d, gives one
     representation.  A positive-dimensional fiber has further non-vertex
     representations; callers that care receive a warning via the conditional
     report.
     """
-    fiber = _level1_fiber(system, lp)
-    vertices, dim = enumerate_vertices(fiber)
+    data = minimal_data(system)
+    vertices, dim = data.vertices[lp]
     if dim < 0:
         raise RuntimeError(f"infeasible fiber for {lp}, violating its invariant")
     out = []
     for u in vertices:
         d = math.lcm(*(x.denominator for x in u)) if u else 1
         r = tuple(int(x * d) for x in u)
-        out.append(RationalRepresentation(d, fiber.gens, r))
+        out.append(RationalRepresentation(d, data.fibers[lp].gens, r))
     return out
 
 
-def denominator_set(system: SupportSystem, data: MinimalData | None = None) -> frozenset[int]:
-    """Denominators of all vertex representations over Zmin, together with 1.
+def denominator_set(system: SupportSystem, data: MinimalData) -> frozenset[int]:
+    """Denominators of all vertex representations over Zmin, together with 1;
+    data is minimal_data(system).
 
     1 is always adjoined: it never changes the admissibility modulus
     lcm(D) when other denominators are present, and it keeps the set
     meaningful for systems whose minimal fibers are all fractional.
     """
-    if data is None:
-        data = minimal_data(system)
     out = {1}
     for pairs in data.zmin.values():
         for lp in pairs:
@@ -78,68 +73,51 @@ def denominator_set(system: SupportSystem, data: MinimalData | None = None) -> f
     return frozenset(out)
 
 
-def check_sparsity_criterion(system: SupportSystem, data: MinimalData | None = None) -> bool:
+def check_sparsity_criterion(system: SupportSystem) -> bool:
     """True when every minimal level-1 fiber is a single integral point.
 
     This is the checkable sufficient condition for D = {1}: a zero-dimensional
     fiber with an integral vertex admits no fractional representation at all.
     """
-    if data is None:
-        data = minimal_data(system)
-    for pairs in data.zmin.values():
-        for lp in pairs:
-            vertices, dim = enumerate_vertices(_level1_fiber(system, lp))
-            if dim != 0:
-                return False
-            if any(x.denominator != 1 for x in vertices[0]):
-                return False
+    for vertices, dim in minimal_data(system).vertices.values():
+        if dim != 0:
+            return False
+        if any(x.denominator != 1 for x in vertices[0]):
+            return False
     return True
 
 
-def conditional_number(system: SupportSystem, data: MinimalData | None = None
-                       ) -> ConditionalReport:
+def conditional_number(system: SupportSystem) -> ConditionalReport:
     """D, multiplicities, sparsity verdict, and c = sum over K of
     (-1)^{w_Z} * sum of multiplicities, defined only when D = {1}."""
-    if data is None:
-        data = minimal_data(system)
+    data = minimal_data(system)
+    D = denominator_set(system, data)
     warnings: list[str] = []
-    denominators = {1}
     multiplicities: dict[LatticePair, int] = {}
-    for pair, w in data.K:
-        for lp in data.zmin[pair]:
-            fiber = _level1_fiber(system, lp)
-            vertices, dim = enumerate_vertices(fiber)
-            if dim > 0:
-                warnings.append(
-                    f"fiber of (t={lp.t}, v={lp.v}) at {pair.B}/{pair.C} has dimension {dim}; "
-                    "vertex denominators understate the representation set")
-            for u in vertices:
-                d = math.lcm(*(x.denominator for x in u)) if u else 1
-                denominators.add(d)
-            multiplicities[lp] = len(enumerate_integral_points(fiber))
-    D = frozenset(denominators)
+    for lp, (_, dim) in data.vertices.items():
+        if dim > 0:
+            warnings.append(
+                f"fiber of (t={lp.t}, v={lp.v}) at {lp.pair.B}/{lp.pair.C} has dimension "
+                f"{dim}; vertex denominators understate the representation set")
+        multiplicities[lp] = len(enumerate_integral_points(data.fibers[lp]))
     c: int | None = None
     if D == {1}:
         c = 0
         for pair, w in data.K:
             c += (-1) ** w * sum(multiplicities[lp] for lp in data.zmin[pair])
-    sparsity = check_sparsity_criterion(system, data)
+    sparsity = check_sparsity_criterion(system)
     return ConditionalReport(D, c, multiplicities, sparsity, tuple(warnings))
 
 
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    if x < 4:
-        return True
-    if x % 2 == 0:
-        return False
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 2
-    return True
+def primes_upto(limit: int) -> list[int]:
+    sieve = bytearray([1]) * (limit + 1) if limit >= 0 else bytearray()
+    out = []
+    for p in range(2, limit + 1):
+        if sieve[p]:
+            out.append(p)
+            for m in range(p * p, limit + 1, p):
+                sieve[m] = 0
+    return out
 
 
 def default_theta(system: SupportSystem) -> int:
@@ -156,5 +134,4 @@ def admissible_primes(D_set: frozenset[int] | set[int], theta: int, limit: int) 
     if limit < 2:
         raise ValueError("limit must be >= 2")
     modulus = math.lcm(*D_set) if D_set else 1
-    return [p for p in range(2, limit + 1)
-            if _is_prime(p) and p > theta and p % modulus == 1 % modulus]
+    return [p for p in primes_upto(limit) if p > theta and p % modulus == 1 % modulus]

@@ -8,6 +8,7 @@ test, not speed.
 from __future__ import annotations
 
 import itertools
+import sys
 
 from axdiv import SubsetPair, SupportSystem, VarietySpec, build_field, restrict_support
 
@@ -18,6 +19,23 @@ ACCEPTANCE_LOG: list[tuple[int, bool, str]] = []
 def record_criterion(num: int, ok: bool, detail: str) -> bool:
     ACCEPTANCE_LOG.append((num, ok, detail))
     return ok
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Count the calls of fn made through any axdiv module namespace; the
+    modules import each other's names, so patching one would miss calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "axdiv" or name.startswith("axdiv."):
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def naive_prime_count(spec: VarietySpec, p: int) -> int:

@@ -23,7 +23,6 @@ from axdiv import (
     count_points,
     default_theta,
     denominator_set,
-    evaluate_hasse,
     from_int,
     gamma_approximation,
     hasse_polynomial,
@@ -91,7 +90,7 @@ def test_criterion_02_hasse_golden(ex2_system):
     H = hasse_polynomial(ex2_system, 5)
     expected = ("4*A[1,(3,3,0)]^4 + 4*A[1,(0,2,2)]^4"
                 " + 1*A[1,(0,2,2)]^4*A[1,(3,3,0)]^4")
-    value = evaluate_hasse(H, {A_MIXED: 1, A_CUBE: 1})
+    value = H.evaluate({A_MIXED: 1, A_CUBE: 1})
     count = count_points(ex2_with(1, 1), build_field(5, 1))
     ok = str(H) == expected and value == 4 and count // 5 % 5 == value
     assert record_criterion(
@@ -105,7 +104,7 @@ def test_criterion_03_conditional_number(ex2_system):
     for p in (5, 7, 11, 13):
         H = hasse_polynomial(ex2_system, p)
         for a, b in coefficient_pairs():
-            value = evaluate_hasse(H, {A_CUBE: a, A_MIXED: b})
+            value = H.evaluate({A_CUBE: a, A_MIXED: b})
             if value != p - 1:
                 failures.append((p, a, b, value))
     ok = structural and not failures
@@ -182,7 +181,7 @@ def test_criterion_07_extension_fields(ex2_system):
         if count != q * (2 * q - 1) or ord_q(count, p, a) != 1:
             failures.append((q, count))
         H2 = hasse_polynomial(ex2_system, p, 2)
-        value = evaluate_hasse(H2, V.coefficients)
+        value = H2.evaluate(V.coefficients)
         if count % p ** 2 != 0 or (count // p ** 2) % p != value:
             failures.append((q, "congruence", value))
     assert record_criterion(
@@ -192,7 +191,7 @@ def test_criterion_07_extension_fields(ex2_system):
 
 def test_criterion_08_denominator_example(skew_system):
     V = unit_variety(skew_system)
-    D = denominator_set(skew_system)
+    D = denominator_set(skew_system, minimal_data(skew_system))
     data = minimal_data(skew_system)
     counts = {p: count_points(V, build_field(p, 1)) for p in (5, 7, 11, 13)}
     shape_ok = all(c in (2 * p - 1, 4 * p - 3) for p, c in counts.items())

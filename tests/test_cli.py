@@ -5,8 +5,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from helpers import count_calls
 
-from axdiv import parse_report, serialize_variety_spec, variety_spec_to_json
+from axdiv import hasse_blocks, parse_report, serialize_variety_spec, variety_spec_to_json
 from axdiv.cli import main
 
 
@@ -85,6 +86,13 @@ def test_hasse_golden(ex2_path, capsys):
     out = capsys.readouterr().out
     assert "4*A[1,(3,3,0)]^4 + 4*A[1,(0,2,2)]^4 + 1*A[1,(0,2,2)]^4*A[1,(3,3,0)]^4" in out
     assert "structure checks: ok" in out
+
+
+def test_hasse_builds_the_blocks_once(ex2_path, monkeypatch, capsys):
+    calls = count_calls(monkeypatch, hasse_blocks)
+    assert main(["hasse", ex2_path, "--prime", "13"]) == 0
+    assert "structure checks: ok" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_count_command(ex2_path, capsys):

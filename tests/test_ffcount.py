@@ -17,7 +17,6 @@ from axdiv import (
     support_system,
     unit_variety,
     variety_spec,
-    worker_count,
 )
 
 
@@ -97,22 +96,6 @@ def test_count_report(ex2_variety):
     report = count_report(ex2_variety, 5)
     assert (report.count, report.valuation, report.mu) == (45, 1, 1)
     assert report.meets_bound
-    report = count_report(ex2_variety, 3, a=2, mu=1)
+    report = count_report(ex2_variety, 3, a=2)
     assert (report.count, report.valuation) == (153, 1)
     assert report.meets_bound
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("AXDIV_THREADS", "2")
-    assert worker_count() == min(2, __import__("os").cpu_count() or 1)
-    monkeypatch.setenv("AXDIV_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("AXDIV_THREADS", "junk")
-    assert worker_count() == 1
-    monkeypatch.delenv("AXDIV_THREADS")
-    assert worker_count() == 1
-
-
-def test_workers_do_not_change_the_count(ex2_variety):
-    field = build_field(7, 1)
-    assert count_points(ex2_variety, field, workers=2) == 91

@@ -12,7 +12,6 @@ from axdiv import (
     LatticePair,
     SparsePolynomialModP,
     artin_hasse_coefficients,
-    evaluate_hasse,
     g_polynomial,
     hasse_blocks,
     hasse_polynomial,
@@ -97,17 +96,17 @@ def test_hasse_polynomial_golden_strings(ex2_system):
 def test_hasse_polynomial_unit_evaluations(ex2_system):
     for p, expected in ((3, 2), (5, 4), (7, 6), (11, 10), (13, 12)):
         H = hasse_polynomial(ex2_system, p)
-        assert evaluate_hasse(H, {A_MIXED: 1, A_CUBE: 1}) == expected
+        assert H.evaluate({A_MIXED: 1, A_CUBE: 1}) == expected
 
 
 def test_hasse_blocks_are_signed_and_sum(ex2_system):
     data = minimal_data(ex2_system)
-    blocks = hasse_blocks(ex2_system, 5, 1, data)
+    blocks = hasse_blocks(ex2_system, 5, 1)
     assert set(blocks) == {pair for pair, _ in data.K}
     total = zero_polynomial(ex2_system, 5)
     for block in blocks.values():
         total = total + block
-    assert total.terms == hasse_polynomial(ex2_system, 5, 1, data).terms
+    assert total.terms == hasse_polynomial(ex2_system, 5, 1).terms
 
 
 def test_homogeneity_report(ex2_system):
@@ -124,9 +123,9 @@ def test_homogeneity_report(ex2_system):
 def test_second_power_hasse_evaluations(ex2_system):
     # Frozen against brute-force counts over F_9 and F_25.
     H2 = hasse_polynomial(ex2_system, 3, 2)
-    assert evaluate_hasse(H2, {A_MIXED: 1, A_CUBE: 1}) == 2
+    assert H2.evaluate({A_MIXED: 1, A_CUBE: 1}) == 2
     H2 = hasse_polynomial(ex2_system, 5, 2)
-    assert evaluate_hasse(H2, {A_MIXED: 1, A_CUBE: 1}) == 4
+    assert H2.evaluate({A_MIXED: 1, A_CUBE: 1}) == 4
 
 
 def test_hasse_power_guards(ex2_system):
@@ -153,14 +152,14 @@ def test_hasse_value_matches_symbolic(ex2_system, skew_system, corpus25):
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                H = hasse_polynomial(system, p, 1, data)
-            assert hasse_value(system, p, coeffs, 1, data) == evaluate_hasse(H, coeffs)
+                H = hasse_polynomial(system, p, 1)
+            assert hasse_value(system, p, coeffs, 1) == H.evaluate(coeffs)
             checked += 1
             if p <= 13:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    H2 = hasse_polynomial(system, p, 2, data)
-                assert hasse_value(system, p, coeffs, 2, data) == evaluate_hasse(H2, coeffs)
+                    H2 = hasse_polynomial(system, p, 2)
+                assert hasse_value(system, p, coeffs, 2) == H2.evaluate(coeffs)
                 checked += 1
     assert checked >= 25
 

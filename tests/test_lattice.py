@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
+from helpers import count_calls
 
+import axdiv.lattice
 from axdiv import (
     INFINITE_WEIGHT,
     LatticePair,
     WeightUnreachableError,
+    bound_report,
+    conditional_number,
+    enumerate_vertices,
     lattice_window,
     minimal_data,
     psi_closure_check,
@@ -134,3 +141,57 @@ def test_psi_closure_negative_control(ex2_system):
     verdict = psi_closure_check(ex2_system, pair, 3, 6, _drop=((1,), (0, 2, 2)))
     assert not verdict.ok
     assert verdict.witness == LatticePair(pair, (3,), (0, 6, 6))
+
+
+# -- the analysis of a system is computed once and shared
+
+
+@pytest.fixture()
+def fresh_analyses(monkeypatch):
+    """An empty analysis cache, so that systems analysed by earlier tests do
+    not answer for the ones built here."""
+    cache = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(axdiv.lattice, "_ANALYSES", cache)
+    return cache
+
+
+def test_equal_systems_share_one_lattice_scan(monkeypatch, fresh_analyses):
+    calls = count_calls(monkeypatch, weight_polytope)
+    first = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
+    second = support_system(3, [[(0, 2, 2), (3, 3, 0)]])
+    assert first == second and first is not second
+    assert minimal_data(first).mu == minimal_data(second).mu == 1
+    assert len(calls) == 1
+
+
+def test_bound_report_then_conditional_number_scan_once(monkeypatch, fresh_analyses):
+    calls = count_calls(monkeypatch, weight_polytope)
+    system = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
+    assert bound_report(system).mu_polytope == 1
+    assert conditional_number(system).c_value == -1
+    assert len(calls) == 1
+
+
+def test_conditional_number_enumerates_each_minimal_fiber_once(monkeypatch, fresh_analyses):
+    calls = count_calls(monkeypatch, enumerate_vertices)
+    system = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
+    assert conditional_number(system).c_value == -1
+    # one level-1 fiber per minimal lattice pair, three pairs in all
+    assert len(calls) == sum(len(lps) for lps in minimal_data(system).zmin.values()) == 3
+
+
+def test_shared_analysis_is_read_only(ex2_system):
+    data = minimal_data(ex2_system)
+    pair, _ = data.K[0]
+    with pytest.raises(TypeError):
+        data.zmin[pair] = ()
+    assert len(data.zmin[pair]) == 1
+
+
+def test_analysis_lives_as_long_as_its_system(fresh_analyses):
+    system = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
+    minimal_data(system)
+    assert [ref() is system for ref in fresh_analyses.keyrefs()] == [True]
+    del system
+    gc.collect()
+    assert len(fresh_analyses) == 0

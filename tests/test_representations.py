@@ -36,10 +36,11 @@ def test_rational_representation_integral(ex2_system):
 
 
 def test_denominator_set_goldens(ex2_system, skew_system):
-    assert denominator_set(ex2_system) == {1}
-    assert denominator_set(skew_system) == {1, 2}
+    assert denominator_set(ex2_system, minimal_data(ex2_system)) == {1}
+    assert denominator_set(skew_system, minimal_data(skew_system)) == {1, 2}
     # Two pure squares: the only minimal mixed fiber has vertex (1/2, 1/2).
-    assert denominator_set(support_system(2, [[(2, 0), (0, 2)]])) == {1, 2}
+    squares = support_system(2, [[(2, 0), (0, 2)]])
+    assert denominator_set(squares, minimal_data(squares)) == {1, 2}
 
 
 def test_sparsity_criterion(ex2_system, skew_system):
@@ -66,7 +67,7 @@ def test_conditional_number_undefined_when_fractional(skew_system):
 
 def test_conditional_number_accepts_precomputed_data(ex2_system):
     data = minimal_data(ex2_system)
-    assert conditional_number(ex2_system, data).c_value == -1
+    assert conditional_number(ex2_system).c_value == -1
 
 
 def test_default_theta(ex2_system, skew_system):
