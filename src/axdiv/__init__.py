@@ -40,12 +40,15 @@ from .ffcount import (
 )
 from .geometry import (
     Feasibility,
+    FiberReduction,
     InfeasibleError,
     UnboundedError,
     enumerate_integral_points,
     enumerate_vertices,
     fiber_feasible,
     fiber_polytope,
+    fiber_reduction,
+    fiber_sum,
     lp_feasible,
     lp_minimize,
     minimal_dilation,
@@ -55,6 +58,8 @@ from .hasse import (
     HomogeneityReport,
     SparsePolynomialModP,
     artin_hasse_coefficients,
+    artin_hasse_residues,
+    artin_hasse_weights,
     checked_hasse_polynomial,
     g_polynomial,
     hasse_blocks,
@@ -81,6 +86,7 @@ from .model import (
     SubsetPair,
     SupportSystem,
     VarietySpec,
+    coefficient_residue,
     enumerate_subset_pairs,
     parse_variety_spec,
     restrict_support,

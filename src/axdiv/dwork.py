@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .geometry import enumerate_integral_points, fiber_polytope
+from .geometry import fiber_reduction, fiber_sum
+from .hasse import artin_hasse_residues, artin_hasse_weights, g_polynomial
 from .lattice import lattice_window, weight_wz, zmin_for_pair
-from .model import SubsetPair, SupportSystem, VarietySpec, enumerate_subset_pairs
+from .model import (
+    SubsetPair,
+    SupportSystem,
+    VarietySpec,
+    coefficient_residue,
+    enumerate_subset_pairs,
+)
 
 
 class NonIntegralError(ArithmeticError):
@@ -219,40 +225,6 @@ def teichmuller_lift(a: int, p: int, m: int) -> int:
     raise RuntimeError("Teichmuller iteration did not stabilize")
 
 
-def _coefficient_residue(value: Fraction, modulus: int, p: int) -> int:
-    if value.denominator % p == 0:
-        raise ZeroDivisionError(f"coefficient {value} has denominator divisible by {p}")
-    return value.numerator * pow(value.denominator, -1, modulus) % modulus
-
-
-def _delta_table(p: int, D: int, modulus: int) -> list[int]:
-    from .hasse import artin_hasse_coefficients
-
-    out = []
-    for d in artin_hasse_coefficients(p, D):
-        if d.denominator % p == 0:
-            raise ArithmeticError("Artin-Hasse coefficient with negative valuation")
-        out.append(d.numerator * pow(d.denominator, -1, modulus) % modulus)
-    return out
-
-
-def _g_value(system: SupportSystem, pair: SubsetPair, budgets: tuple[int, ...],
-             target: tuple[int, ...], deltas: list[int], teich: dict, modulus: int) -> int:
-    """Scalar sum over the fiber of products delta_u * omega(a)^u, mod p^me."""
-    if any(b < 0 for b in budgets) or any(x < 0 for x in target):
-        return 0
-    fiber = fiber_polytope(system, pair, budgets, target)
-    total = 0
-    for u in enumerate_integral_points(fiber):
-        term = 1
-        for key, x in zip(fiber.gens, u):
-            term = term * deltas[x] % modulus
-            if x:
-                term = term * pow(teich[key], x, modulus) % modulus
-        total = (total + term) % modulus
-    return total
-
-
 @dataclass(frozen=True)
 class TruncatedDworkMatrix:
     pair: SubsetPair
@@ -283,9 +255,11 @@ def truncated_matrix(spec: VarietySpec, pair: SubsetPair, p: int, m: int, T: int
     else:
         gamma = gamma.with_precision(min(gamma.me, m))
     modulus = p ** gamma.me
-    deltas = _delta_table(p, p * T, modulus)
-    teich = {key: teichmuller_lift(_coefficient_residue(val, modulus, p), p, gamma.me)
+    deltas = artin_hasse_residues(p, p * T, modulus)
+    teich = {key: teichmuller_lift(coefficient_residue(val, p, modulus), p, gamma.me)
              for key, val in spec.coefficients.items()}
+    fiber = fiber_reduction(system, pair)
+    tables = [artin_hasse_weights(deltas, teich[key], modulus) for key in fiber.gens]
     gpow = {}
     rows = []
     for x in basis:
@@ -296,7 +270,7 @@ def truncated_matrix(spec: VarietySpec, pair: SubsetPair, p: int, m: int, T: int
                 gpow[e] = gamma ** e
             budgets = tuple(p * ty - tx for tx, ty in zip(x.t, y.t))
             target = tuple(p * vy - vx for vx, vy in zip(x.v, y.v))
-            val = _g_value(system, pair, budgets, target, deltas, teich, modulus)
+            val = fiber_sum(fiber, budgets, target, tables, 0, 1) % modulus
             row.append(gpow[e].scale(val))
         rows.append(tuple(row))
     return TruncatedDworkMatrix(pair, tuple(basis), tuple(rows), p, gamma.me, T)
@@ -381,8 +355,6 @@ def leading_trace_congruence(spec: VarietySpec, pair: SubsetPair, p: int,
     """Checks Tr / p^w == (-1)^w * Tr(N(a)) mod p, where the left side is the
     window trace at truncation w = w_Z and the right side is the mod-p trace
     block evaluated at the coefficients."""
-    from .hasse import g_polynomial
-
     system = spec.system
     w = weight_wz(system, pair)
     if w == math.inf:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import minimal_data
-from .model import VarietySpec
+from .model import VarietySpec, coefficient_residue
 
 # q**n above this raises instead of grinding; counting is meant for unit tests
 # and sharpness verification on small instances, not production enumeration.
@@ -117,14 +117,6 @@ def _field_tables(field: FiniteField) -> tuple[np.ndarray, np.ndarray]:
     return add, mul
 
 
-def _embed_coefficient(value: Fraction, field: FiniteField) -> int:
-    """Residue of a rational coefficient in the prime subfield, as a code."""
-    p = field.p
-    if value.denominator % p == 0:
-        raise ZeroDivisionError(f"coefficient {value} has denominator divisible by {p}")
-    return value.numerator * pow(value.denominator, -1, p) % p
-
-
 # rows of the first axis handled per chunk, sized to keep the residue grid
 # around a few million int64 entries
 CHUNK_CELLS = 4 * 10 ** 6
@@ -141,8 +133,8 @@ def _count_prime_field(spec: VarietySpec, p: int) -> int:
     """Vectorized count over F_p: per-variable power tables, broadcast sum."""
     n = spec.system.n
     keys = spec.system.coefficient_keys()
-    coeffs = np.array([_embed_coefficient(spec.coefficients[k], FiniteField(p, 1, (0, 1)))
-                       for k in keys], dtype=np.int64)
+    coeffs = np.array([coefficient_residue(spec.coefficients[k], p) for k in keys],
+                      dtype=np.int64)
     x = np.arange(p, dtype=np.int64)
     # pow_table[i][e] = column vector of x^e along axis i
     pow_cache: list[dict[int, np.ndarray]] = [{} for _ in range(n)]
@@ -182,7 +174,8 @@ def _count_extension_field(spec: VarietySpec, field: FiniteField) -> int:
     q = field.q
     add, mul = _field_tables(field)
     keys = spec.system.coefficient_keys()
-    coeffs = [_embed_coefficient(spec.coefficients[k], field) for k in keys]
+    # coefficients lie in the prime subfield, whose codes are the residues
+    coeffs = [coefficient_residue(spec.coefficients[k], field.p) for k in keys]
     codes = np.arange(q, dtype=np.int64)
 
     pow_cache: list[dict[int, np.ndarray]] = [{} for _ in range(n)]

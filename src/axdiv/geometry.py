@@ -1,13 +1,17 @@
-"""Exact linear programming over the rationals and fiber-polytope enumeration.
+"""Exact linear programming over the rationals, fiber polytopes, and the
+fiber kernel.
 
 The simplex here is deliberately small: equality-form problems in nonnegative
 variables, Bland's rule for guaranteed termination, Fraction arithmetic
 throughout.  Nothing in this module touches floating point, so feasibility
 verdicts come with exact witnesses and infeasibility with Farkas certificates.
+The fiber kernel (fiber_reduction, fiber_sum) computes every sum G over the
+integral points of a fiber, in integer arithmetic only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -354,6 +358,182 @@ def _bounded_integer_solutions(rows, rhs, ubounds) -> list[tuple[int, ...]]:
     recurse(0)
     out.sort()
     return out
+
+
+@dataclass(frozen=True)
+class FiberReduction:
+    """The fiber equations of one subset pair, row-reduced once in integers.
+
+    With b = (t_j for j in B) + (v_i for i in C) the right-hand side of one
+    fiber, pivot row i reads
+
+        denominators[i] * u[pivots[i]] + sum over s of rows[i][s] * u[free[s]]
+            = transforms[i] . b
+
+    and every vector of checks must have b . check = 0 for any solution at
+    all.  Pivots are chosen from the last generator backwards, so the free
+    generators come first.  closes[i] is the last position s with
+    rows[i][s] != 0 (-1 when the row has no free variable): the pivot of
+    row i is fixed once free[closes[i]] is.
+    """
+
+    pair: SubsetPair
+    gens: tuple[CoefficientKey, ...]
+    budget_index: tuple[int, ...]        # per generator, its polynomial's position in B
+    free: tuple[int, ...]
+    pivots: tuple[int, ...]
+    denominators: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    transforms: tuple[tuple[int, ...], ...]
+    checks: tuple[tuple[int, ...], ...]
+    closes: tuple[int, ...]
+
+
+def fiber_reduction(system: SupportSystem, pair: SubsetPair) -> FiberReduction:
+    """Fraction-free Gauss-Jordan reduction of the fiber equations of pair.
+
+    The identity block carried to the right of the equations records each
+    reduced row as an integer combination of the original ones; dividing
+    every row by the gcd of its entries keeps the numbers small.
+    """
+    gens = tuple((j, g) for j in pair.B for g in restrict_support(system, j, pair.C))
+    k = len(gens)
+    m = len(pair.B) + len(pair.C)
+    coeff_rows = [[1 if gj == j else 0 for gj, _ in gens] for j in pair.B]
+    coeff_rows += [[g[i - 1] for _, g in gens] for i in pair.C]
+    mat = [row + [1 if c == r else 0 for c in range(m)] for r, row in enumerate(coeff_rows)]
+    pivot_of: dict[int, int] = {}
+    for col in reversed(range(k)):
+        candidates = [r for r in range(m) if r not in pivot_of and mat[r][col]]
+        if not candidates:
+            continue
+        sel = min(candidates, key=lambda r: abs(mat[r][col]))
+        if mat[sel][col] < 0:
+            mat[sel] = [-x for x in mat[sel]]
+        prow = mat[sel]
+        piv = prow[col]
+        for r in range(m):
+            factor = mat[r][col]
+            if r != sel and factor:
+                row = [piv * x - factor * y for x, y in zip(mat[r], prow)]
+                content = math.gcd(*row)
+                mat[r] = [x // content for x in row]
+        pivot_of[sel] = col
+    free = tuple(c for c in range(k) if c not in pivot_of.values())
+    order = sorted(pivot_of, key=lambda r: pivot_of[r])
+    rows = tuple(tuple(mat[r][c] for c in free) for r in order)
+    closes = tuple(max((s for s, a in enumerate(row) if a), default=-1) for row in rows)
+    position = {j: idx for idx, j in enumerate(pair.B)}
+    return FiberReduction(
+        pair=pair,
+        gens=gens,
+        budget_index=tuple(position[j] for j, _ in gens),
+        free=free,
+        pivots=tuple(pivot_of[r] for r in order),
+        denominators=tuple(mat[r][pivot_of[r]] for r in order),
+        rows=rows,
+        transforms=tuple(tuple(mat[r][k:]) for r in order),
+        checks=tuple(tuple(mat[r][k:]) for r in range(m) if r not in pivot_of),
+        closes=closes,
+    )
+
+
+def _dot(xs: Sequence[int], ys: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(xs, ys))
+
+
+def fiber_sum(fiber: FiberReduction, t: Sequence[int], v: Sequence[int],
+              tables: Sequence[Sequence], zero, one):
+    """Sum over the integral points u of the fiber at (t, v) of the product
+    of tables[k][u[k]] over its generators k; zero when there is no point.
+
+    The weights may be any ring elements with * and + (ints are left
+    unreduced; the caller reduces the result).  A dynamic programme runs over
+    the free variables only: a state is the tuple of residuals
+    transforms[i] . b - sum of rows[i][s] * u[free[s]] of the rows still
+    open, so assignments sharing their residuals are folded together.  A row
+    closes right after its last free variable is set: its pivot value
+    residual / denominator must be an integer, and its table entry is
+    multiplied in.  Each free variable only ranges over the values for which
+    every open row it appears in can still bring its pivot into
+    [0, budget], so the programme creates no state that some open row has
+    already ruled out.
+    """
+    if any(x < 0 for x in t) or any(x < 0 for x in v):
+        return zero
+    b = tuple(t) + tuple(v[i - 1] for i in fiber.pair.C)
+    if any(_dot(check, b) for check in fiber.checks):
+        return zero
+    ub = [t[idx] for idx in fiber.budget_index]
+    value = one
+    start = []
+    open_rows = []
+    for i, T in enumerate(fiber.transforms):
+        rhs = _dot(T, b)
+        if fiber.closes[i] >= 0:
+            open_rows.append(i)
+            start.append(rhs)
+            continue
+        c, rem = divmod(rhs, fiber.denominators[i])
+        if rem or not 0 <= c <= ub[fiber.pivots[i]]:
+            return zero
+        value = value * tables[fiber.pivots[i]][c]
+    # lo[i][s], hi[i][s]: range of the part of row i still to be set after step s
+    lo = {}
+    hi = {}
+    for i in open_rows:
+        low = high = 0
+        lo[i] = [0] * len(fiber.free)
+        hi[i] = [0] * len(fiber.free)
+        for s in reversed(range(len(fiber.free))):
+            lo[i][s], hi[i][s] = low, high
+            a = fiber.rows[i][s]
+            if a > 0:
+                high += a * ub[fiber.free[s]]
+            else:
+                low += a * ub[fiber.free[s]]
+    dp = {tuple(start): value}
+    for s, col in enumerate(fiber.free):
+        table = tables[col]
+        cuts = []
+        keep = []
+        close = []
+        for pos, i in enumerate(open_rows):
+            a = fiber.rows[i][s]
+            if a:
+                span = fiber.denominators[i] * ub[fiber.pivots[i]]
+                # a * x must lie in [r - (span + hi), r - lo] for residual r
+                cuts.append((pos, a, lo[i][s], span + hi[i][s]))
+            if fiber.closes[i] == s:
+                close.append((pos, a, fiber.denominators[i], tables[fiber.pivots[i]]))
+            else:
+                keep.append((pos, a))
+        open_rows = [open_rows[pos] for pos, _ in keep]
+        new: dict[tuple[int, ...], object] = {}
+        for state, value in dp.items():
+            x_lo, x_hi = 0, ub[col]
+            for pos, a, low, high in cuts:
+                r = state[pos]
+                if a > 0:
+                    x_lo = max(x_lo, -((high - r) // a))
+                    x_hi = min(x_hi, (r - low) // a)
+                else:
+                    x_lo = max(x_lo, -((r - low) // -a))
+                    x_hi = min(x_hi, (high - r) // -a)
+            for x in range(x_lo, x_hi + 1):
+                w = value * table[x]
+                for pos, a, d, pivot_table in close:
+                    # the cut on x already keeps c in [0, budget]
+                    c, rem = divmod(state[pos] - a * x, d)
+                    if rem:
+                        break
+                    w = w * pivot_table[c]
+                else:
+                    key = tuple([state[pos] - a * x for pos, a in keep])
+                    acc = new.get(key)
+                    new[key] = w if acc is None else acc + w
+        dp = new
+    return dp.get((), zero)
 
 
 def enumerate_integral_points(f: FiberPolytope) -> list[tuple[int, ...]]:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .geometry import enumerate_integral_points, fiber_polytope
+from .geometry import FiberReduction, fiber_reduction, fiber_sum
 from .lattice import LatticePair, minimal_data
-from .model import CoefficientKey, SubsetPair, SupportSystem, restrict_support
+from .model import CoefficientKey, SubsetPair, SupportSystem, coefficient_residue
 
 
 def artin_hasse_coefficients(p: int, D: int) -> tuple[Fraction, ...]:
@@ -40,12 +40,47 @@ def artin_hasse_coefficients(p: int, D: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _delta_residues(deltas: Sequence[Fraction], p: int) -> list[int]:
+def artin_hasse_residues(p: int, D: int, modulus: int) -> list[int]:
+    """delta_0..delta_D reduced mod modulus, a power of p; the series is
+    p-integral, so no coefficient has a denominator divisible by p."""
     out = []
-    for d in deltas:
+    for d in artin_hasse_coefficients(p, D):
         if d.denominator % p == 0:
             raise ArithmeticError("Artin-Hasse coefficient with negative p-adic valuation")
-        out.append(d.numerator * pow(d.denominator, -1, p) % p)
+        out.append(d.numerator * pow(d.denominator, -1, modulus) % modulus)
+    return out
+
+
+def artin_hasse_weights(deltas: Sequence[int], c: int, modulus: int) -> list[int]:
+    """The weight table of one generator with coefficient c:
+    deltas[x] * c^x mod modulus for every x."""
+    out = []
+    power = 1
+    for d in deltas:
+        out.append(d * power % modulus)
+        power = power * c % modulus
+    return out
+
+
+def _unit_residues(p: int, keys: Sequence[CoefficientKey],
+                   assignment: Mapping[CoefficientKey, int | Fraction],
+                   optional: frozenset | set = frozenset()) -> list[int]:
+    """Residues mod p of the assignment at keys, each a unit; a key in
+    optional may be unassigned and then reads 0."""
+    out = []
+    for key in keys:
+        if key not in assignment:
+            if key not in optional:
+                raise ValueError(f"unassigned variable {key}")
+            out.append(0)
+            continue
+        val = Fraction(assignment[key])
+        if val.denominator % p == 0:
+            raise ValueError(f"coefficient at {key} has denominator divisible by p")
+        res = coefficient_residue(val, p)
+        if res == 0:
+            raise ValueError(f"coefficient at {key} reduces to zero mod p")
+        out.append(res)
     return out
 
 
@@ -104,20 +139,9 @@ class SparsePolynomialModP:
 
     def evaluate(self, assignment: Mapping[CoefficientKey, int | Fraction]) -> int:
         """Value at nonzero residues; raises on missing or p-divisible entries."""
-        residues = []
-        for key in self.variables:
-            if key not in assignment:
-                if any(e[self.variables.index(key)] for e in self.terms):
-                    raise ValueError(f"unassigned variable {key}")
-                residues.append(0)
-                continue
-            val = Fraction(assignment[key])
-            if val.denominator % self.p == 0:
-                raise ValueError(f"coefficient at {key} has denominator divisible by p")
-            res = val.numerator * pow(val.denominator, -1, self.p) % self.p
-            if res == 0:
-                raise ValueError(f"coefficient at {key} reduces to zero mod p")
-            residues.append(res)
+        used = {i for e in self.terms for i, x in enumerate(e) if x}
+        unused = {key for i, key in enumerate(self.variables) if i not in used}
+        residues = _unit_residues(self.p, self.variables, assignment, unused)
         total = 0
         for e, c in self.terms.items():
             term = c
@@ -146,74 +170,75 @@ def zero_polynomial(system: SupportSystem, p: int) -> SparsePolynomialModP:
     return SparsePolynomialModP(p, system.coefficient_keys(), {})
 
 
-def _g_general(system: SupportSystem, pair: SubsetPair, budgets: Sequence[int],
-               target: Sequence[int], p: int,
-               delta_res: Sequence[int]) -> SparsePolynomialModP:
-    """G at arbitrary integer budgets and target; zero when the fiber is empty."""
+def _check_power(p: int, a: int) -> None:
+    if a not in (1, 2):
+        raise ValueError("a must be 1 or 2")
+    if a == 2 and p > 13:
+        raise ValueError("a=2 is limited to p <= 13 (degree growth)")
+
+
+def _max_budget(system: SupportSystem, p: int) -> int:
+    """Largest per-polynomial budget of any G in the blocks of H_p^[a]."""
+    data = minimal_data(system)
+    return max((p * lp.total for pairs in data.zmin.values() for lp in pairs), default=0)
+
+
+def _monomial_tables(system: SupportSystem, p: int, deltas: Sequence[int],
+                     twist: int = 1) -> dict[CoefficientKey, list[SparsePolynomialModP]]:
+    """Per coefficient key, the terms delta_x * A^(twist * x) for x = 0..len(deltas)-1."""
     variables = system.coefficient_keys()
-    if any(b < 0 for b in budgets) or any(x < 0 for x in target):
-        return SparsePolynomialModP(p, variables, {})
-    fiber = fiber_polytope(system, pair, budgets, target)
-    index = {key: i for i, key in enumerate(variables)}
-    terms: dict[tuple[int, ...], int] = {}
-    for u in enumerate_integral_points(fiber):
-        coef = 1
-        for x in u:
-            coef = coef * delta_res[x] % p
-        if coef == 0:
-            continue
-        e = [0] * len(variables)
-        for key, x in zip(fiber.gens, u):
-            e[index[key]] = x
-        e = tuple(e)
-        terms[e] = (terms.get(e, 0) + coef) % p
-    return SparsePolynomialModP(p, variables, {e: c for e, c in terms.items() if c})
+    tables = {}
+    for idx, key in enumerate(variables):
+        column = []
+        for x, d in enumerate(deltas):
+            e = [0] * len(variables)
+            e[idx] = twist * x
+            column.append(SparsePolynomialModP(p, variables, {tuple(e): d} if d else {}))
+        tables[key] = column
+    return tables
 
 
-def _g_value(system: SupportSystem, pair: SubsetPair, budgets: Sequence[int],
-             target: Sequence[int], p: int, delta_res: Sequence[int],
-             residues: Mapping[CoefficientKey, int]) -> int:
-    """Value of _g_general at unit residues, without building the polynomial.
+def _one_polynomial(system: SupportSystem, p: int) -> SparsePolynomialModP:
+    return SparsePolynomialModP(p, system.coefficient_keys(),
+                                {(0,) * len(system.coefficient_keys()): 1})
 
-    Dynamic programming over the fiber generators: a state is the pair of
-    remaining per-polynomial budgets and remaining target coordinates, so
-    points sharing a partial sum are folded together instead of enumerated.
+
+def _entry(fiber: FiberReduction, p: int, x: LatticePair, y: LatticePair,
+           weights: Sequence[Sequence], zero, one):
+    """The matrix entry G at budgets p*t_y - t_x and target p*v_y - v_x."""
+    return fiber_sum(fiber, [p * ty - tx for tx, ty in zip(x.t, y.t)],
+                     [p * vy - vx for vx, vy in zip(x.v, y.v)], weights, zero, one)
+
+
+def _trace_blocks(system: SupportSystem, p: int, a: int, tables: Mapping, twisted: Mapping,
+                  zero, one) -> dict[SubsetPair, tuple[int, object]]:
+    """Sign and unsigned value of every per-pair block of H_p^[a], keyed by
+    the pairs of K, with G summed over the given weight tables.
+
+    The block is the trace of the matrix with entries G at budgets p*t_y - t_x
+    and target p*v_y - v_x over the minimal lattice pairs x, y: at a = 1 the
+    diagonal, at a = 2 the trace of the square, whose left factor G carries
+    the Frobenius twist A -> A^p (twisted; on residues mod p it is the
+    identity).  The caller has checked a with _check_power.
     """
-    if any(b < 0 for b in budgets) or any(x < 0 for x in target):
-        return 0
-    gens = tuple((j, g) for j in pair.B for g in restrict_support(system, j, pair.C))
-    cidx = tuple(i - 1 for i in pair.C)
-    start = (tuple(budgets), tuple(target[i] for i in cidx))
-    if not gens:
-        return 1 if not any(start[0]) and not any(start[1]) else 0
-    jpos = {j: k for k, j in enumerate(pair.B)}
-    last = {j: max(k for k, (gj, _) in enumerate(gens) if gj == j) for j in pair.B}
-    dp = {start: 1}
-    for idx, (j, g) in enumerate(gens):
-        k = jpos[j]
-        gc = tuple(g[i] for i in cidx)
-        res = residues[(j, g)]
-        closing = idx == last[j]
-        new: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for (tb, tv), coef in dp.items():
-            cap = tb[k]
-            for gi, vi in zip(gc, tv):
-                if gi:
-                    cap = min(cap, vi // gi)
-            lo = tb[k] if closing else 0
-            if lo > cap:
-                continue
-            power = pow(res, lo, p) if lo else 1
-            for u in range(lo, cap + 1):
-                c = coef * delta_res[u] % p * power % p
-                if c:
-                    key = (tb[:k] + (tb[k] - u,) + tb[k + 1:],
-                           tuple(vi - u * gi for vi, gi in zip(tv, gc)))
-                    new[key] = (new.get(key, 0) + c) % p
-                power = power * res % p
-        dp = new
-    zero = (tuple(0 for _ in pair.B), tuple(0 for _ in cidx))
-    return dp.get(zero, 0)
+    data = minimal_data(system)
+    blocks = {}
+    for pair, w in data.K:
+        fiber = data.reductions[pair]
+        weights = [tables[key] for key in fiber.gens]
+        twisted_weights = [twisted[key] for key in fiber.gens]
+        zmin = data.zmin[pair]
+        block = zero
+        if a == 1:
+            for x in zmin:
+                block = block + _entry(fiber, p, x, x, weights, zero, one)
+        else:
+            for x in zmin:
+                for y in zmin:
+                    block = block + (_entry(fiber, p, x, y, twisted_weights, zero, one)
+                                     * _entry(fiber, p, y, x, weights, zero, one))
+        blocks[pair] = ((-1) ** (len(pair.B) + len(pair.C) + a * w), block)
+    return blocks
 
 
 def g_polynomial(system: SupportSystem, lp: LatticePair, scale: int,
@@ -221,47 +246,24 @@ def g_polynomial(system: SupportSystem, lp: LatticePair, scale: int,
     """G at the scaled pair (scale*t, scale*v), the building block of the traces."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    budgets = tuple(scale * x for x in lp.t)
-    target = tuple(scale * x for x in lp.v)
-    deltas = artin_hasse_coefficients(p, max(budgets))
-    return _g_general(system, lp.pair, budgets, target, p, _delta_residues(deltas, p))
+    budgets = [scale * x for x in lp.t]
+    tables = _monomial_tables(system, p, artin_hasse_residues(p, max(budgets), p))
+    fiber = fiber_reduction(system, lp.pair)
+    return fiber_sum(fiber, budgets, [scale * x for x in lp.v],
+                     [tables[key] for key in fiber.gens],
+                     zero_polynomial(system, p), _one_polynomial(system, p))
 
 
 def hasse_blocks(system: SupportSystem, p: int, a: int = 1
                  ) -> dict[SubsetPair, SparsePolynomialModP]:
     """Signed per-pair trace blocks of H_p^[a], keyed by the pairs of K."""
-    if a not in (1, 2):
-        raise ValueError("a must be 1 or 2")
-    if a == 2 and p > 13:
-        raise ValueError("a=2 is limited to p <= 13 (degree growth)")
-    data = minimal_data(system)
-    max_budget = max((p * lp.total for pairs in data.zmin.values() for lp in pairs),
-                     default=0)
-    delta_res = _delta_residues(artin_hasse_coefficients(p, max_budget), p)
-    blocks: dict[SubsetPair, SparsePolynomialModP] = {}
-    for pair, w in data.K:
-        zmin = data.zmin[pair]
-        block = zero_polynomial(system, p)
-        if a == 1:
-            for lp in zmin:
-                budgets = tuple((p - 1) * x for x in lp.t)
-                target = tuple((p - 1) * x for x in lp.v)
-                block = block + _g_general(system, pair, budgets, target, p, delta_res)
-        else:
-            for x in zmin:
-                for y in zmin:
-                    gxy = _g_general(system, pair,
-                                     tuple(p * ty - tx for tx, ty in zip(x.t, y.t)),
-                                     tuple(p * vy - vx for vx, vy in zip(x.v, y.v)),
-                                     p, delta_res)
-                    gyx = _g_general(system, pair,
-                                     tuple(p * tx - ty for tx, ty in zip(x.t, y.t)),
-                                     tuple(p * vx - vy for vx, vy in zip(x.v, y.v)),
-                                     p, delta_res)
-                    block = block + gxy.frobenius_twist(p) * gyx
-        sign = (-1) ** (len(pair.B) + len(pair.C) + a * w)
-        blocks[pair] = block.scale(sign)
-    return blocks
+    _check_power(p, a)
+    deltas = artin_hasse_residues(p, _max_budget(system, p), p)
+    tables = _monomial_tables(system, p, deltas)
+    twisted = _monomial_tables(system, p, deltas, twist=p) if a == 2 else tables
+    blocks = _trace_blocks(system, p, a, tables, twisted,
+                           zero_polynomial(system, p), _one_polynomial(system, p))
+    return {pair: block.scale(sign) for pair, (sign, block) in blocks.items()}
 
 
 def _sum_blocks(system: SupportSystem, p: int,
@@ -288,55 +290,16 @@ def hasse_value(system: SupportSystem, p: int,
     """H_p^[a] evaluated at a full unit-residue assignment.
 
     Agrees with hasse_polynomial(...).evaluate(coeffs) but skips the
-    symbolic polynomial, whose term count grows quickly with p; the per-pair
-    block values come from the partial-sum form of G instead.
+    symbolic polynomial, whose term count grows quickly with p: the same
+    blocks are summed over scalar weights delta_x * c^x mod p.
     """
-    if a not in (1, 2):
-        raise ValueError("a must be 1 or 2")
-    if a == 2 and p > 13:
-        raise ValueError("a=2 is limited to p <= 13 (degree growth)")
-    data = minimal_data(system)
-    residues: dict[CoefficientKey, int] = {}
-    for key in system.coefficient_keys():
-        if key not in coeffs:
-            raise ValueError(f"unassigned variable {key}")
-        val = Fraction(coeffs[key])
-        if val.denominator % p == 0:
-            raise ValueError(f"coefficient at {key} has denominator divisible by p")
-        res = val.numerator * pow(val.denominator, -1, p) % p
-        if res == 0:
-            raise ValueError(f"coefficient at {key} reduces to zero mod p")
-        residues[key] = res
-    max_budget = max((p * lp.total for pairs in data.zmin.values() for lp in pairs),
-                     default=0)
-    delta_res = _delta_residues(artin_hasse_coefficients(p, max_budget), p)
-    total = 0
-    for pair, w in data.K:
-        zmin = data.zmin[pair]
-        block = 0
-        if a == 1:
-            for lp in zmin:
-                budgets = tuple((p - 1) * x for x in lp.t)
-                target = tuple((p - 1) * x for x in lp.v)
-                block += _g_value(system, pair, budgets, target, p, delta_res,
-                                  residues)
-        else:
-            for x in zmin:
-                for y in zmin:
-                    # the Frobenius twist raises exponents to the p-th power,
-                    # which is the identity on residues mod p
-                    gxy = _g_value(system, pair,
-                                   tuple(p * ty - tx for tx, ty in zip(x.t, y.t)),
-                                   tuple(p * vy - vx for vx, vy in zip(x.v, y.v)),
-                                   p, delta_res, residues)
-                    gyx = _g_value(system, pair,
-                                   tuple(p * tx - ty for tx, ty in zip(x.t, y.t)),
-                                   tuple(p * vx - vy for vx, vy in zip(x.v, y.v)),
-                                   p, delta_res, residues)
-                    block += gxy * gyx
-        sign = (-1) ** (len(pair.B) + len(pair.C) + a * w)
-        total = (total + sign * block) % p
-    return total
+    _check_power(p, a)
+    keys = system.coefficient_keys()
+    residues = _unit_residues(p, keys, coeffs)
+    deltas = artin_hasse_residues(p, _max_budget(system, p), p)
+    tables = {key: artin_hasse_weights(deltas, res, p) for key, res in zip(keys, residues)}
+    blocks = _trace_blocks(system, p, a, tables, tables, 0, 1)
+    return sum(sign * block for sign, block in blocks.values()) % p
 
 
 @dataclass(frozen=True)

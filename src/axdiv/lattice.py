@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -19,9 +19,11 @@ from typing import Iterator, Mapping, Sequence
 
 from .geometry import (
     FiberPolytope,
+    FiberReduction,
     Point,
     enumerate_vertices,
     fiber_polytope,
+    fiber_reduction,
     lp_feasible,
     minimal_dilation,
     rational_lp,
@@ -60,14 +62,33 @@ class LatticePair:
 
 @dataclass(frozen=True)
 class MinimalData:
-    """mu, the minimizing pair set K with weights, Zmin per pair, and the
-    level-1 fiber of every minimal lattice pair.  Read-only, since one
-    instance is shared by every caller that analyses the same system."""
+    """mu and the minimizing pair set K with weights; Zmin per pair, the
+    level-1 fiber of every minimal lattice pair and the row-reduced fiber
+    equations of every pair of K are built on first use.  Read-only, since
+    one instance is shared by every caller that analyses the same system."""
 
     mu: int
     K: tuple[tuple[SubsetPair, int], ...]
-    zmin: Mapping[SubsetPair, tuple[LatticePair, ...]]
-    fibers: Mapping[LatticePair, FiberPolytope]
+    # an equal copy of the analysed system: the cache holds its key weakly,
+    # so its value must not refer to the key itself
+    system: SupportSystem = field(repr=False, compare=False)
+
+    @cached_property
+    def zmin(self) -> Mapping[SubsetPair, tuple[LatticePair, ...]]:
+        """The minimal lattice pairs of every pair of K."""
+        return MappingProxyType({pair: tuple(zmin_for_pair(self.system, pair))
+                                 for pair, _ in self.K})
+
+    @cached_property
+    def fibers(self) -> Mapping[LatticePair, FiberPolytope]:
+        """The level-1 fiber of every minimal lattice pair."""
+        return MappingProxyType({lp: fiber_polytope(self.system, pair, lp.t, lp.v, level=1)
+                                 for pair, lps in self.zmin.items() for lp in lps})
+
+    @cached_property
+    def reductions(self) -> Mapping[SubsetPair, FiberReduction]:
+        """The row-reduced fiber equations of every pair of K."""
+        return MappingProxyType({pair: fiber_reduction(self.system, pair) for pair, _ in self.K})
 
     @cached_property
     def vertices(self) -> Mapping[LatticePair, tuple[tuple[Point, ...], int]]:
@@ -261,7 +282,8 @@ _ANALYSES: weakref.WeakKeyDictionary[SupportSystem, MinimalData] = weakref.WeakK
 
 
 def minimal_data(system: SupportSystem) -> MinimalData:
-    """mu, K and Zmin over all subset pairs, computed once per system.
+    """mu and K over all subset pairs, computed once per system (Zmin on
+    first use of the result's zmin).
 
     Equal systems share one result for as long as the first of them lives.
     The polytope-route value mu_hat = w(f) - r caps every per-pair weight
@@ -294,11 +316,7 @@ def minimal_data(system: SupportSystem) -> MinimalData:
             f"combinatorial minimum {best} does not match polytope value {mu_hat}")
     K = tuple((pair, w) for pair, w in weights.items()
               if n - len(pair.B) - len(pair.C) + w == mu_hat)
-    zmin = {pair: tuple(zmin_for_pair(system, pair)) for pair, _ in K}
-    fibers = {lp: fiber_polytope(system, pair, lp.t, lp.v, level=1)
-              for pair, lps in zmin.items() for lp in lps}
-    data = _ANALYSES[system] = MinimalData(mu_hat, K, MappingProxyType(zmin),
-                                           MappingProxyType(fibers))
+    data = _ANALYSES[system] = MinimalData(mu_hat, K, SupportSystem(n, system.supports))
     return data
 
 

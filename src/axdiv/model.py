@@ -98,6 +98,15 @@ class VarietySpec:
                 raise ValueError(f"zero coefficient at {key}")
 
 
+def coefficient_residue(value: Fraction, p: int, modulus: int | None = None) -> int:
+    """A rational coefficient mod modulus, a power of p (default p itself)."""
+    if value.denominator % p == 0:
+        raise ZeroDivisionError(f"coefficient {value} has denominator divisible by {p}")
+    if modulus is None:
+        modulus = p
+    return value.numerator * pow(value.denominator, -1, modulus) % modulus
+
+
 def variety_spec(system: SupportSystem,
                  coefficients: Mapping[CoefficientKey, Fraction | int | str]) -> VarietySpec:
     coeffs = {(j, tuple(g)): Fraction(c) for (j, g), c in coefficients.items()}

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 from .ffcount import build_field, count_points, ord_q
@@ -49,13 +50,21 @@ class DensityEstimate:
     admissible_fraction: Fraction
 
 
-def _coefficient_blockers(spec: VarietySpec, p: int) -> str | None:
+class _Blocker(Enum):
+    """Why a prime cannot be used as is: no count at all (DENOMINATOR) or a
+    count without a Hasse value (ZERO_RESIDUE)."""
+
+    DENOMINATOR = "denominator"
+    ZERO_RESIDUE = "zero residue"
+
+
+def _coefficient_blockers(spec: VarietySpec, p: int) -> tuple[_Blocker, str] | None:
     for key, value in spec.coefficients.items():
         if value.denominator % p == 0:
-            return f"denominator of coefficient at {key} divisible by {p}"
+            return _Blocker.DENOMINATOR, f"denominator of coefficient at {key} divisible by {p}"
     for key, value in spec.coefficients.items():
         if value.numerator % p == 0:
-            return f"coefficient at {key} reduces to zero mod {p}"
+            return _Blocker.ZERO_RESIDUE, f"coefficient at {key} reduces to zero mod {p}"
     return None
 
 
@@ -65,15 +74,15 @@ def sharpness_record(spec: VarietySpec, p: int, a: int = 1,
     system = spec.system
     mu = minimal_data(system).mu
     blocker = _coefficient_blockers(spec, p)
-    if blocker is not None and "denominator" in blocker:
+    if blocker is not None and blocker[0] is _Blocker.DENOMINATOR:
         return SharpnessRecord(p, a, mu, admissible, None, None, None, None, None,
-                               None, blocker)
+                               None, blocker[1])
     count = count_points(spec, build_field(p, a))
     val = ord_q(count, p, a)
     observed = val == mu
     if blocker is not None:
         return SharpnessRecord(p, a, mu, admissible, count, val, None, None,
-                               observed, None, blocker)
+                               observed, None, blocker[1])
     value = hasse_value(system, p, spec.coefficients, a)
     predicted = value != 0
     unit_mod = p ** (a * mu)

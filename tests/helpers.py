@@ -9,8 +9,17 @@ from __future__ import annotations
 
 import itertools
 import sys
+from fractions import Fraction
 
-from axdiv import SubsetPair, SupportSystem, VarietySpec, build_field, restrict_support
+from axdiv import (
+    SubsetPair,
+    SupportSystem,
+    VarietySpec,
+    artin_hasse_coefficients,
+    build_field,
+    minimal_data,
+    restrict_support,
+)
 
 # (criterion number, ok, detail) tuples; the conftest summary hook prints them.
 ACCEPTANCE_LOG: list[tuple[int, bool, str]] = []
@@ -117,19 +126,78 @@ def naive_extension_count(spec: VarietySpec, p: int, a: int) -> int:
     return count
 
 
+def _compositions(total: int, parts: int):
+    """Nonnegative integer tuples of the given length summing to total."""
+    if total < 0:
+        return
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1,) + bars + (total + parts - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
 def naive_fiber_points(system: SupportSystem, pair: SubsetPair,
                        t, v) -> list[tuple[int, ...]]:
-    """Integral fiber points by brute force over the budget box."""
-    gens = [(j, g) for j in pair.B for g in restrict_support(system, j, pair.C)]
-    budget = dict(zip(pair.B, t))
+    """Integral fiber points by brute force: every way of splitting each
+    budget t_j over the restricted generators of polynomial j, combined
+    across the polynomials and kept when the generators sum to v exactly.
+    A split that alone overshoots some coordinate of v is dropped early,
+    since every generator is nonnegative."""
+    v = tuple(v)
+    options = []
+    for j, tj in zip(pair.B, t):
+        gs = restrict_support(system, j, pair.C)
+        splits = _compositions(tj, len(gs)) if gs else ([()] if tj == 0 else [])
+        opts = []
+        for part in splits:
+            vec = tuple(sum(uk * g[i] for uk, g in zip(part, gs)) for i in range(system.n))
+            if all(x <= y for x, y in zip(vec, v)):
+                opts.append((part, vec))
+        options.append(opts)
     points = []
-    for u in itertools.product(*(range(budget[j] + 1) for j, _ in gens)):
-        by_j = {j: 0 for j in pair.B}
-        coord = [0] * system.n
-        for uk, (j, g) in zip(u, gens):
-            by_j[j] += uk
-            for i in range(system.n):
-                coord[i] += uk * g[i]
-        if all(by_j[j] == budget[j] for j in pair.B) and tuple(coord) == tuple(v):
-            points.append(u)
+    for combo in itertools.product(*options):
+        total = tuple(sum(xs) for xs in zip(*(vec for _, vec in combo)))
+        if total == v:
+            points.append(tuple(x for part, _ in combo for x in part))
     return sorted(points)
+
+
+def naive_g(system: SupportSystem, pair: SubsetPair, t, v, tables, zero, one):
+    """G as the plain sum over naive_fiber_points of the product of
+    tables[k][u_k], generators in fiber order."""
+    total = zero
+    for u in naive_fiber_points(system, pair, t, v):
+        term = one
+        for column, x in zip(tables, u):
+            term = term * column[x]
+        total = total + term
+    return total
+
+
+def naive_hasse_value(system: SupportSystem, p: int, coeffs, a: int) -> int:
+    """H_p^[a] at the coefficients, straight from its definition: per pair of
+    K the trace of the G matrix over Zmin (a = 1) or of its square (a = 2),
+    G summed over naive_fiber_points with weights delta_x * c^x mod p."""
+    data = minimal_data(system)
+    top = max(p * lp.total for lps in data.zmin.values() for lp in lps)
+    deltas = [d.numerator * pow(d.denominator, -1, p) % p
+              for d in artin_hasse_coefficients(p, top)]
+    res = {key: Fraction(c).numerator * pow(Fraction(c).denominator, -1, p) % p
+           for key, c in coeffs.items()}
+    total = 0
+    for pair, w in data.K:
+        keys = [(j, g) for j in pair.B for g in restrict_support(system, j, pair.C)]
+        tables = [[d * pow(res[key], x, p) % p for x, d in enumerate(deltas)] for key in keys]
+
+        def G(x, y):
+            budgets = [p * ty - tx for tx, ty in zip(x.t, y.t)]
+            target = [p * vy - vx for vx, vy in zip(x.v, y.v)]
+            return naive_g(system, pair, budgets, target, tables, 0, 1)
+
+        lps = data.zmin[pair]
+        if a == 1:
+            block = sum(G(x, x) for x in lps)
+        else:
+            entries = {(x, y): G(x, y) for x in lps for y in lps}
+            block = sum(entries[x, y] * entries[y, x] for x in lps for y in lps)
+        total += (-1) ** (len(pair.B) + len(pair.C) + a * w) * block
+    return total % p

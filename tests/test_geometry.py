@@ -5,21 +5,28 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from helpers import naive_fiber_points
+from helpers import naive_fiber_points, naive_g
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axdiv import (
     InfeasibleError,
+    SparsePolynomialModP,
     UnboundedError,
     enumerate_integral_points,
     enumerate_vertices,
     fiber_feasible,
     fiber_polytope,
+    fiber_reduction,
+    fiber_sum,
     lp_feasible,
     lp_minimize,
     minimal_dilation,
     rational_lp,
+    restrict_support,
     subset_pair,
     support_system,
+    zero_polynomial,
 )
 
 
@@ -169,3 +176,114 @@ def test_vertices_are_feasible_and_extreme(ex2_system):
                 if i not in (j, k) and j < k:
                     mid = tuple((x + y) / 2 for x, y in zip(b, c))
                     assert mid != a
+
+
+# -- the fiber kernel against a plain sum over brute-force points
+
+RINGS = ("F_7", "Z/5^4", "F_5[A]")
+
+
+@st.composite
+def fiber_cases(draw):
+    """A small system, a subset pair and a right-hand side (t, v), drawn in
+    one of three ways: freely (mostly infeasible, sometimes negative); as
+    the image of a nonnegative point (feasible); or as the image of an
+    integer point with entries down to -2, which passes every consistency
+    check yet may have no nonnegative solution."""
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 2))
+    vector = st.tuples(*[st.integers(0, 3)] * n)
+    supports = [draw(st.lists(vector, min_size=1, max_size=4, unique=True)) for _ in range(r)]
+    system = support_system(n, supports)
+    pair = subset_pair(draw(st.sets(st.integers(1, r), min_size=1)),
+                       draw(st.sets(st.integers(1, n), min_size=1)))
+    mode = draw(st.sampled_from(("free", "point", "lattice")))
+    if mode == "free":
+        t = [draw(st.integers(-1, 4)) for _ in pair.B]
+        v = [draw(st.integers(-1, 6)) if i in pair.C else 0 for i in range(1, n + 1)]
+        return system, pair, t, v
+    low = 0 if mode == "point" else -2
+    t = []
+    v = [0] * n
+    for j in pair.B:
+        tj = 0
+        for g in restrict_support(system, j, pair.C):
+            u = draw(st.integers(low, 3))
+            tj += u
+            v = [x + u * y for x, y in zip(v, g)]
+        t.append(tj)
+    return system, pair, t, v
+
+
+def _ring_tables(draw, ring, system, gens, top):
+    """zero, one and per-generator weight tables of length top + 1 in ring;
+    the weights are drawn, or fixed nonzero values when draw is None."""
+    def weight(k, x, modulus):
+        return draw(st.integers(0, modulus - 1)) if draw else (3 * x + k) % (modulus - 1) + 1
+
+    if ring == "F_5[A]":
+        variables = system.coefficient_keys()
+        tables = []
+        for k, key in enumerate(gens):
+            column = []
+            for x in range(top + 1):
+                e = [0] * len(variables)
+                e[variables.index(key)] = x
+                c = weight(k, x, 5)
+                column.append(SparsePolynomialModP(5, variables, {tuple(e): c} if c else {}))
+            tables.append(column)
+        one = SparsePolynomialModP(5, variables, {(0,) * len(variables): 1})
+        return zero_polynomial(system, 5), one, tables
+    modulus = 7 if ring == "F_7" else 5 ** 4
+    tables = [[weight(k, x, modulus) for x in range(top + 1)] for k in range(len(gens))]
+    return 0, 1, tables
+
+
+def _canonical(value, ring):
+    if ring == "F_5[A]":
+        return value.terms
+    return value % (7 if ring == "F_7" else 5 ** 4)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@settings(max_examples=120, deadline=None)
+@given(case=fiber_cases(), data=st.data())
+def test_fiber_sum_matches_naive_sum(ring, case, data):
+    system, pair, t, v = case
+    fiber = fiber_reduction(system, pair)
+    zero, one, tables = _ring_tables(data.draw, ring, system, fiber.gens, max(max(t), 0))
+    got = fiber_sum(fiber, t, v, tables, zero, one)
+    want = naive_g(system, pair, t, v, tables, zero, one)
+    assert _canonical(got, ring) == _canonical(want, ring)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("supports, C, t, v, points", [
+    # no monomial of x*y lives inside C = {1}: the fiber is {()} at t = 0,
+    # v = 0 and empty everywhere else
+    ([[(1, 1)]], [1], (0,), (0, 0), 1),
+    ([[(1, 1)]], [1], (1,), (0, 0), 0),
+    ([[(1, 1)]], [1], (0,), (1, 0), 0),
+    ([[(1, 1)]], [1], (-1,), (0, 0), 0),
+    # negative right-hand sides
+    ([[(1, 0), (0, 1)]], [1, 2], (2,), (-1, 3), 0),
+    ([[(1, 0), (0, 1)]], [1, 2], (-1,), (-1, 0), 0),
+    # both variables are pivots with no free variable; the equations
+    # force u = (-1, 2), so the consistent right-hand side has no point
+    ([[(1, 0), (1, 1)]], [1, 2], (1,), (1, 2), 0),
+    ([[(1, 0), (1, 1)]], [1, 2], (3,), (3, 2), 1),
+    # infeasible rationally, and feasible rationally but not integrally
+    ([[(2, 0), (0, 2)]], [1, 2], (1,), (3, 0), 0),
+    ([[(3, 1), (1, 3)]], [1, 2], (1,), (2, 2), 0),
+    ([[(3, 1), (1, 3)]], [1, 2], (2,), (4, 4), 1),
+])
+def test_fiber_sum_edge_cases(ring, supports, C, t, v, points):
+    system = support_system(len(v), supports)
+    pair = subset_pair([1], C)
+    assert len(naive_fiber_points(system, pair, t, v)) == points
+    fiber = fiber_reduction(system, pair)
+    zero, one, tables = _ring_tables(None, ring, system, fiber.gens, max(max(t), 0))
+    got = fiber_sum(fiber, t, v, tables, zero, one)
+    want = naive_g(system, pair, t, v, tables, zero, one)
+    assert _canonical(got, ring) == _canonical(want, ring)
+    assert (_canonical(got, ring) == _canonical(zero, ring)) == (points == 0)

@@ -172,6 +172,16 @@ def test_bound_report_then_conditional_number_scan_once(monkeypatch, fresh_analy
     assert len(calls) == 1
 
 
+def test_bound_report_leaves_zmin_unbuilt(monkeypatch, fresh_analyses):
+    calls = count_calls(monkeypatch, zmin_for_pair)
+    system = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
+    assert bound_report(system).mu_polytope == 1
+    assert len(calls) == 0
+    # the first reader of zmin builds it, one call per pair of K
+    assert conditional_number(system).c_value == -1
+    assert len(calls) == len(minimal_data(system).K) == 3
+
+
 def test_conditional_number_enumerates_each_minimal_fiber_once(monkeypatch, fresh_analyses):
     calls = count_calls(monkeypatch, enumerate_vertices)
     system = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
