@@ -126,6 +126,24 @@ def naive_extension_count(spec: VarietySpec, p: int, a: int) -> int:
     return count
 
 
+def diagonal_quadric_count(p: int, a: int, coeffs) -> int:
+    """Zeros of sum c_i x_i^2 over F_q, q = p^a odd, integer c_i prime to p.
+
+    Lidl-Niederreiter, Theorems 6.26 and 6.27: q^(n-1) zeros for n odd, and
+    q^(n-1) + (q-1) q^(n/2-1) eta((-1)^(n/2) c_1...c_n) for n even, eta the
+    quadratic character of F_q, taken here by Euler's criterion in F_q: for
+    c in F_p, c^((q-1)/2) is 1 or -1, and can be computed mod p.
+    """
+    n, q = len(coeffs), p ** a
+    if n % 2:
+        return q ** (n - 1)
+    d = (-1) ** (n // 2)
+    for c in coeffs:
+        d *= c
+    eta = 1 if pow(d, (q - 1) // 2, p) == 1 else -1
+    return q ** (n - 1) + (q - 1) * q ** (n // 2 - 1) * eta
+
+
 def _compositions(total: int, parts: int):
     """Nonnegative integer tuples of the given length summing to total."""
     if total < 0:

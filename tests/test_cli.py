@@ -102,6 +102,25 @@ def test_count_command(ex2_path, capsys):
     assert "= 153" in capsys.readouterr().out
 
 
+def test_non_prime_field_exits_2(ex2_path, capsys):
+    # --prime 9 once counted over Z/9 (333 points); F_9 is --prime 3 --a 2 (153)
+    for p in ("9", "4", "1"):
+        assert main(["count", ex2_path, "--prime", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: p = {p} is not a prime\n"
+    assert main(["verify", ex2_path, "--prime", "9"]) == 2
+    assert "p = 9 is not a prime" in capsys.readouterr().err
+
+
+def test_huge_prime_exits_2_on_the_budget(ex2_path, capsys):
+    assert main(["count", ex2_path, "--prime", "1000000000000000003"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: q^n = ")
+    assert captured.err.endswith(" exceeds the enumeration budget 100000000\n")
+
+
 def test_dwork_command_and_self_test(ex2_path, capsys):
     assert main(["dwork", ex2_path, "--prime", "3"]) == 0
     out = capsys.readouterr().out
