@@ -43,10 +43,7 @@ from .geometry import (
     FiberReduction,
     InfeasibleError,
     UnboundedError,
-    enumerate_integral_points,
     enumerate_vertices,
-    fiber_feasible,
-    fiber_polytope,
     fiber_reduction,
     fiber_sum,
     lp_feasible,

@@ -16,7 +16,7 @@ from pathlib import Path
 from .bounds import bound_report
 from .corpus import generate_corpus
 from .dwork import GammaError, NonIntegralError, trace_formula_count
-from .ffcount import CountGuardError, build_field, count_points, count_report
+from .ffcount import CountGuardError, _is_prime, build_field, count_points, count_report
 from .hasse import checked_hasse_polynomial
 from .lattice import ConsistencyError, WeightUnreachableError
 from .model import (
@@ -188,24 +188,17 @@ def cmd_dwork(args) -> int:
     if args.prime is None:
         raise InputError("--prime is required")
     p = args.prime
-    trace = trace_formula_count(spec, p, m=args.precision, T=args.truncation,
-                                _corrupt=args.corrupt)
+    trace = trace_formula_count(spec, p, m=args.precision, T=args.truncation)
     exact = count_points(spec, build_field(p, 1))
     expected = exact % trace.modulus
     match = trace.residue == expected
     body = {"p": p, "T": trace.T, "s": trace.s, "modulus": trace.modulus,
             "trace_residue": trace.residue, "exact_residue": expected,
-            "exact_count": exact, "match": match, "corrupted": args.corrupt}
+            "exact_count": exact, "match": match}
     lines = [f"trace formula residue mod {trace.modulus}: {trace.residue}",
              f"exact count {exact} mod {trace.modulus}: {expected}",
-             f"window: p^{trace.window} (T={trace.T}, s={trace.s})"]
-    if args.corrupt:
-        lines.append("self-test: corrupted entry "
-                     + ("detected (mismatch, as expected)" if not match
-                        else "NOT detected"))
-        _emit(args, "dwork", body, lines, [body], list(body))
-        return 0 if not match else 1
-    lines.append("match" if match else "MISMATCH")
+             f"window: p^{trace.window} (T={trace.T}, s={trace.s})",
+             "match" if match else "MISMATCH"]
     _emit(args, "dwork", body, lines, [body], list(body))
     return 0 if match else 1
 
@@ -280,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--precision", type=int)
     sp.add_argument("--truncation", type=int, default=2)
-    sp.add_argument("--corrupt", action="store_true",
-                    help="perturb one matrix entry; the mismatch must be caught")
     sp.set_defaults(func=cmd_dwork)
 
     sp = sub.add_parser("corpus", help="write seeded random systems")
@@ -298,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every --prime is checked here, before any subcommand reads it
+        if getattr(args, "prime", None) is not None and not _is_prime(args.prime):
+            raise InputError(f"p = {args.prime} is not a prime")
         return args.func(args)
     except (NonIntegralError, GammaError, ConsistencyError,
             WeightUnreachableError) as exc:

@@ -304,8 +304,8 @@ def _active_pairs(system: SupportSystem) -> tuple[list[SubsetPair], int]:
     return active, max(0, s)
 
 
-def trace_formula_count(spec: VarietySpec, p: int, m: int | None = None, T: int = 2,
-                        _corrupt: bool = False) -> TraceCount:
+def trace_formula_count(spec: VarietySpec, p: int, m: int | None = None,
+                        T: int = 2) -> TraceCount:
     """Point count over F_p from window traces, certified mod p^(T+1-s).
 
     Constant terms are rejected: the sector decomposition behind the count
@@ -323,13 +323,8 @@ def trace_formula_count(spec: VarietySpec, p: int, m: int | None = None, T: int 
     gamma = gamma_approximation(p, m)
     # common denominator p^s, divided out once at the end
     acc = from_int(p ** (n + s), p, m)
-    corrupted = not _corrupt
     for pair in active:
-        matrix = truncated_matrix(spec, pair, p, m, T, gamma=gamma)
-        tr = matrix.trace()
-        if not corrupted and matrix.basis:
-            tr = tr + from_int(1, p, tr.me)
-            corrupted = True
+        tr = truncated_matrix(spec, pair, p, m, T, gamma=gamma).trace()
         scale = (p - 1) ** (len(pair.B) + len(pair.C)) * p ** (n - len(pair.B) - len(pair.C) + s)
         acc = acc + tr.scale(scale)
     total = acc.divide_p(s)

@@ -135,6 +135,8 @@ def build_field(p: int, a: int) -> FiniteField:
         raise ValueError(f"p = {p} is not a prime")
     if a == 1:
         return FiniteField(p, 1, (0, 1))
+    if p ** a > TABLE_LIMIT:
+        raise CountGuardError(f"field with q={p ** a} exceeds the table limit {TABLE_LIMIT}")
     for low in range(p ** a):
         modulus = tuple(_poly_from_code(low, p, a)) + (1,)
         if _is_irreducible(modulus, p):
@@ -171,8 +173,6 @@ class _Arith:
         self.add_table = None
         if a == 1:
             return
-        if q > TABLE_LIMIT:
-            raise CountGuardError(f"field with q={q} exceeds the table limit {TABLE_LIMIT}")
         weights = p ** np.arange(a)
         digits = np.arange(q)[:, None] // weights % p
         # digit-wise addition, the high digit on the outer axes

@@ -1,12 +1,13 @@
-"""Exact linear programming over the rationals, fiber polytopes, and the
-fiber kernel.
+"""Exact linear programming over the rationals, and the fiber kernel.
 
 The simplex here is deliberately small: equality-form problems in nonnegative
 variables, Bland's rule for guaranteed termination, Fraction arithmetic
 throughout.  Nothing in this module touches floating point, so feasibility
 verdicts come with exact witnesses and infeasibility with Farkas certificates.
-The fiber kernel (fiber_reduction, fiber_sum) computes every sum G over the
-integral points of a fiber, in integer arithmetic only.
+Every fiber question goes through one integer row reduction per subset pair
+(fiber_reduction): fiber_sum computes every sum G over the integral points of
+a fiber, in integer arithmetic only, and enumerate_vertices reads off the
+vertices of the real fiber.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Iterable, Sequence
 
 from .model import (
     CoefficientKey,
-    ExponentVector,
     SubsetPair,
     SupportSystem,
     restrict_support,
@@ -224,143 +224,6 @@ def minimal_dilation(vertices: Iterable[Iterable], y: Iterable) -> Fraction | No
 
 
 @dataclass(frozen=True)
-class FiberPolytope:
-    """Solutions u >= 0 of: sum of u_g over G_{j,C} equals t_j for each j in B,
-    and sum u_g * g = v, one variable per restricted generator.
-
-    level records the scaling that produced (t, v) and is bookkeeping only.
-    Targets may be arbitrary integers; infeasible targets give the empty set.
-    """
-
-    pair: SubsetPair
-    level: int
-    t: tuple[int, ...]
-    v: ExponentVector
-    gens: tuple[CoefficientKey, ...]
-
-
-def fiber_polytope(system: SupportSystem, pair: SubsetPair,
-                   t: Sequence[int], v: Sequence[int], level: int = 1) -> FiberPolytope:
-    t = tuple(int(x) for x in t)
-    v = tuple(int(x) for x in v)
-    if len(t) != len(pair.B):
-        raise ValueError("t must have one entry per index in B")
-    if len(v) != system.n:
-        raise ValueError("v must have length n")
-    cset = set(pair.C)
-    if any(x != 0 for i, x in enumerate(v, start=1) if i not in cset):
-        raise ValueError("v must vanish off C")
-    gens = tuple((j, g) for j in pair.B for g in restrict_support(system, j, pair.C))
-    return FiberPolytope(pair, level, t, v, gens)
-
-
-def _fiber_equations(f: FiberPolytope):
-    """Equality system rows.u = rhs plus per-variable upper bounds."""
-    k = len(f.gens)
-    budget = dict(zip(f.pair.B, f.t))
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for j in f.pair.B:
-        rows.append([Fraction(1 if gj == j else 0) for gj, _ in f.gens])
-        rhs.append(Fraction(budget[j]))
-    for i in f.pair.C:
-        rows.append([Fraction(g[i - 1]) for _, g in f.gens])
-        rhs.append(Fraction(f.v[i - 1]))
-    ubounds = [budget[gj] for gj, _ in f.gens]
-    return rows, rhs, ubounds
-
-
-def fiber_feasible(system: SupportSystem, pair: SubsetPair,
-                   t: Sequence[int], v: Sequence[int]) -> Feasibility:
-    """Rational feasibility of the fiber, i.e. membership of (t, v) in Z_{B,C}."""
-    f = fiber_polytope(system, pair, t, v)
-    if any(x < 0 for x in f.t) or any(x < 0 for x in f.v):
-        return Feasibility(False)
-    if not f.gens:
-        ok = all(x == 0 for x in f.t) and all(x == 0 for x in f.v)
-        return Feasibility(ok, witness=() if ok else None)
-    rows, rhs, _ = _fiber_equations(f)
-    return lp_feasible(RationalLP(tuple(map(tuple, rows)), tuple(rhs)))
-
-
-def _rref(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Row reduce; returns (pivot columns, reduced rows, reduced rhs, consistent)."""
-    mat = [row[:] for row in matrix]
-    vec = rhs[:]
-    m = len(mat)
-    k = len(mat[0]) if m else 0
-    pivots: list[int] = []
-    row = 0
-    for col in range(k):
-        sel = next((i for i in range(row, m) if mat[i][col] != 0), None)
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        vec[row], vec[sel] = vec[sel], vec[row]
-        piv = mat[row][col]
-        mat[row] = [x / piv for x in mat[row]]
-        vec[row] /= piv
-        for i in range(m):
-            if i != row and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[row])]
-                vec[i] -= factor * vec[row]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    consistent = all(vec[i] == 0 for i in range(row, m))
-    return pivots, mat[:row], vec[:row], consistent
-
-
-def _bounded_integer_solutions(rows, rhs, ubounds) -> list[tuple[int, ...]]:
-    """All integer u with 0 <= u <= ubounds (componentwise) and rows.u = rhs.
-
-    Row reduction first, then depth-first search over the free variables with
-    interval pruning of every pivot expression.
-    """
-    k = len(ubounds)
-    if any(u < 0 for u in ubounds):
-        return []
-    pivots, red, redrhs, consistent = _rref(rows, rhs)
-    if not consistent:
-        return []
-    free = [j for j in range(k) if j not in pivots]
-    # pivot row i reads: u[pivots[i]] = redrhs[i] - sum over free j of red[i][j]*u[j]
-    out: list[tuple[int, ...]] = []
-    values = [0] * k
-
-    def recurse(fidx: int) -> None:
-        for i, pcol in enumerate(pivots):
-            lo = hi = redrhs[i] - sum(red[i][j] * values[j] for j in free[:fidx])
-            for j in free[fidx:]:
-                coef = red[i][j]
-                if coef > 0:
-                    lo -= coef * ubounds[j]
-                elif coef < 0:
-                    hi -= coef * ubounds[j]
-            if hi < 0 or lo > ubounds[pcol]:
-                return
-        if fidx == len(free):
-            for i, pcol in enumerate(pivots):
-                val = redrhs[i] - sum(red[i][j] * values[j] for j in free)
-                if val.denominator != 1 or not 0 <= val <= ubounds[pcol]:
-                    return
-                values[pcol] = int(val)
-            out.append(tuple(values))
-            return
-        j = free[fidx]
-        for x in range(int(ubounds[j]) + 1):
-            values[j] = x
-            recurse(fidx + 1)
-        values[j] = 0
-
-    recurse(0)
-    out.sort()
-    return out
-
-
-@dataclass(frozen=True)
 class FiberReduction:
     """The fiber equations of one subset pair, row-reduced once in integers.
 
@@ -378,6 +241,7 @@ class FiberReduction:
     """
 
     pair: SubsetPair
+    n: int                               # variables of the system
     gens: tuple[CoefficientKey, ...]
     budget_index: tuple[int, ...]        # per generator, its polynomial's position in B
     free: tuple[int, ...]
@@ -389,12 +253,41 @@ class FiberReduction:
     closes: tuple[int, ...]
 
 
+def _eliminate(rows: list[list[int]], columns: Iterable[int]) -> dict[int, int]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows, in the
+    manner of Bareiss (1968), in place, pivoting on the given columns in
+    order; returns the pivot column of each pivot row.
+
+    A pivot is the entry of least absolute value among the rows not yet
+    pivoted, made positive; every other row is cleared in its column by an
+    integer combination and divided by the gcd of its entries, which keeps
+    the numbers small.
+    """
+    pivot_of: dict[int, int] = {}
+    for col in columns:
+        candidates = [r for r in range(len(rows)) if r not in pivot_of and rows[r][col]]
+        if not candidates:
+            continue
+        sel = min(candidates, key=lambda r: abs(rows[r][col]))
+        if rows[sel][col] < 0:
+            rows[sel] = [-x for x in rows[sel]]
+        prow = rows[sel]
+        piv = prow[col]
+        for r, other in enumerate(rows):
+            factor = other[col]
+            if r != sel and factor:
+                row = [piv * x - factor * y for x, y in zip(other, prow)]
+                content = math.gcd(*row) or 1  # dependent rows reduce to zero
+                rows[r] = [x // content for x in row]
+        pivot_of[sel] = col
+    return pivot_of
+
+
 def fiber_reduction(system: SupportSystem, pair: SubsetPair) -> FiberReduction:
     """Fraction-free Gauss-Jordan reduction of the fiber equations of pair.
 
     The identity block carried to the right of the equations records each
-    reduced row as an integer combination of the original ones; dividing
-    every row by the gcd of its entries keeps the numbers small.
+    reduced row as an integer combination of the original ones.
     """
     gens = tuple((j, g) for j in pair.B for g in restrict_support(system, j, pair.C))
     k = len(gens)
@@ -402,23 +295,7 @@ def fiber_reduction(system: SupportSystem, pair: SubsetPair) -> FiberReduction:
     coeff_rows = [[1 if gj == j else 0 for gj, _ in gens] for j in pair.B]
     coeff_rows += [[g[i - 1] for _, g in gens] for i in pair.C]
     mat = [row + [1 if c == r else 0 for c in range(m)] for r, row in enumerate(coeff_rows)]
-    pivot_of: dict[int, int] = {}
-    for col in reversed(range(k)):
-        candidates = [r for r in range(m) if r not in pivot_of and mat[r][col]]
-        if not candidates:
-            continue
-        sel = min(candidates, key=lambda r: abs(mat[r][col]))
-        if mat[sel][col] < 0:
-            mat[sel] = [-x for x in mat[sel]]
-        prow = mat[sel]
-        piv = prow[col]
-        for r in range(m):
-            factor = mat[r][col]
-            if r != sel and factor:
-                row = [piv * x - factor * y for x, y in zip(mat[r], prow)]
-                content = math.gcd(*row)
-                mat[r] = [x // content for x in row]
-        pivot_of[sel] = col
+    pivot_of = _eliminate(mat, reversed(range(k)))
     free = tuple(c for c in range(k) if c not in pivot_of.values())
     order = sorted(pivot_of, key=lambda r: pivot_of[r])
     rows = tuple(tuple(mat[r][c] for c in free) for r in order)
@@ -426,6 +303,7 @@ def fiber_reduction(system: SupportSystem, pair: SubsetPair) -> FiberReduction:
     position = {j: idx for idx, j in enumerate(pair.B)}
     return FiberReduction(
         pair=pair,
+        n=system.n,
         gens=gens,
         budget_index=tuple(position[j] for j, _ in gens),
         free=free,
@@ -536,56 +414,54 @@ def fiber_sum(fiber: FiberReduction, t: Sequence[int], v: Sequence[int],
     return dp.get((), zero)
 
 
-def enumerate_integral_points(f: FiberPolytope) -> list[tuple[int, ...]]:
-    """Exactly the nonnegative integer points of the fiber, in lex order."""
-    if any(x < 0 for x in f.t) or any(x < 0 for x in f.v):
-        return []
-    if not f.gens:
-        return [()] if all(x == 0 for x in f.t) and all(x == 0 for x in f.v) else []
-    rows, rhs, ubounds = _fiber_equations(f)
-    return _bounded_integer_solutions(rows, rhs, ubounds)
+def enumerate_vertices(fiber: FiberReduction, t: Sequence[int],
+                       v: Sequence[int]) -> tuple[list[Point], int]:
+    """All vertices of the fiber polytope at (t, v), the real u >= 0 solving
+    the fiber equations, in lex order, plus its affine dimension; ([], -1)
+    for an empty fiber.
 
-
-def _affine_dimension(points: list[Point]) -> int:
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [[x - b for x, b in zip(pt, base)] for pt in points[1:]]
-    if not diffs:
-        return 0
-    pivots, _, _, _ = _rref(diffs, [Fraction(0)] * len(diffs))
-    return len(pivots)
-
-
-def enumerate_vertices(f: FiberPolytope) -> tuple[list[Point], int]:
-    """All vertices of the fiber polytope plus its affine dimension.
-
-    Exhaustive basic-solution enumeration over the reduced equality system;
-    fine at desk scale where fibers have at most a dozen variables.
-    Returns ([], -1) for an empty fiber.
+    Every set of len(fiber.pivots) generators is tried as a basis: the
+    reduced rows of the fiber, eliminated on those columns, either leave a
+    row without pivot (a singular set) or give the basic solution, a vertex
+    when it is nonnegative.  Exhaustive, which is fine at desk scale where
+    fibers have at most a dozen variables.
     """
-    if any(x < 0 for x in f.t) or any(x < 0 for x in f.v):
+    t = tuple(int(x) for x in t)
+    v = tuple(int(x) for x in v)
+    if len(t) != len(fiber.pair.B):
+        raise ValueError("t must have one entry per index in B")
+    if len(v) != fiber.n:
+        raise ValueError("v must have length n")
+    cset = set(fiber.pair.C)
+    if any(x != 0 for i, x in enumerate(v, start=1) if i not in cset):
+        raise ValueError("v must vanish off C")
+    b = t + tuple(v[i - 1] for i in fiber.pair.C)
+    if any(x < 0 for x in b) or any(_dot(check, b) for check in fiber.checks):
         return [], -1
-    if not f.gens:
-        if all(x == 0 for x in f.t) and all(x == 0 for x in f.v):
-            return [()], 0
-        return [], -1
-    rows, rhs, _ = _fiber_equations(f)
-    pivots, red, redrhs, consistent = _rref(rows, rhs)
-    if not consistent:
-        return [], -1
-    k = len(f.gens)
-    rank = len(red)
+    k = len(fiber.gens)
+    # pivot row i with its right-hand side, over all k generators
+    reduced = []
+    for i, T in enumerate(fiber.transforms):
+        row = [0] * k + [_dot(T, b)]
+        row[fiber.pivots[i]] = fiber.denominators[i]
+        for s, col in enumerate(fiber.free):
+            row[col] = fiber.rows[i][s]
+        reduced.append(row)
     found: set[Point] = set()
-    for cols in combinations(range(k), rank):
-        sub = [[red[i][j] for j in cols] for i in range(rank)]
-        subpiv, subred, subrhs, ok = _rref(sub, list(redrhs))
-        if not ok or len(subpiv) < rank:
+    for cols in combinations(range(k), len(reduced)):
+        mat = [[row[c] for c in cols] + [row[-1]] for row in reduced]
+        pivot_of = _eliminate(mat, range(len(cols)))
+        if len(pivot_of) < len(cols):
             continue  # singular basis
         u = [Fraction(0)] * k
-        for i in range(rank):
-            u[cols[subpiv[i]]] = subrhs[i]
+        for r, s in pivot_of.items():
+            u[cols[s]] = Fraction(mat[r][-1], mat[r][s])
         if all(x >= 0 for x in u):
             found.add(tuple(u))
     vertices = sorted(found)
-    return vertices, _affine_dimension(vertices)
+    if not vertices:
+        return [], -1
+    # the affine dimension is the rank of the vertex differences, in integers
+    scale = math.lcm(*(x.denominator for u in vertices for x in u))
+    diffs = [[int((x - y) * scale) for x, y in zip(u, vertices[0])] for u in vertices[1:]]
+    return vertices, len(_eliminate(diffs, range(k)))

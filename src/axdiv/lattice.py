@@ -18,11 +18,9 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .geometry import (
-    FiberPolytope,
     FiberReduction,
     Point,
     enumerate_vertices,
-    fiber_polytope,
     fiber_reduction,
     lp_feasible,
     minimal_dilation,
@@ -63,9 +61,9 @@ class LatticePair:
 @dataclass(frozen=True)
 class MinimalData:
     """mu and the minimizing pair set K with weights; Zmin per pair, the
-    level-1 fiber of every minimal lattice pair and the row-reduced fiber
-    equations of every pair of K are built on first use.  Read-only, since
-    one instance is shared by every caller that analyses the same system."""
+    row-reduced fiber equations of every pair of K and the vertices of every
+    minimal level-1 fiber are built on first use.  Read-only, since one
+    instance is shared by every caller that analyses the same system."""
 
     mu: int
     K: tuple[tuple[SubsetPair, int], ...]
@@ -75,15 +73,11 @@ class MinimalData:
 
     @cached_property
     def zmin(self) -> Mapping[SubsetPair, tuple[LatticePair, ...]]:
-        """The minimal lattice pairs of every pair of K."""
-        return MappingProxyType({pair: tuple(zmin_for_pair(self.system, pair))
-                                 for pair, _ in self.K})
-
-    @cached_property
-    def fibers(self) -> Mapping[LatticePair, FiberPolytope]:
-        """The level-1 fiber of every minimal lattice pair."""
-        return MappingProxyType({lp: fiber_polytope(self.system, pair, lp.t, lp.v, level=1)
-                                 for pair, lps in self.zmin.items() for lp in lps})
+        """The minimal lattice pairs of every pair of K: its layer at the
+        weight K holds."""
+        return MappingProxyType({
+            pair: tuple(_layer(self.system, pair, _restricted(self.system, pair), w))
+            for pair, w in self.K})
 
     @cached_property
     def reductions(self) -> Mapping[SubsetPair, FiberReduction]:
@@ -95,9 +89,10 @@ class MinimalData:
         """Vertices and affine dimension of every minimal level-1 fiber,
         enumerated on first use."""
         out = {}
-        for lp, fiber in self.fibers.items():
-            vertices, dim = enumerate_vertices(fiber)
-            out[lp] = (tuple(vertices), dim)
+        for pair, lps in self.zmin.items():
+            for lp in lps:
+                vertices, dim = enumerate_vertices(self.reductions[pair], lp.t, lp.v)
+                out[lp] = (tuple(vertices), dim)
         return MappingProxyType(out)
 
 
@@ -207,18 +202,25 @@ def weight_wz(system: SupportSystem, pair: SubsetPair,
     return INFINITE_WEIGHT
 
 
-def zmin_for_pair(system: SupportSystem, pair: SubsetPair) -> list[LatticePair]:
-    """All (t, v) in Z_{B,C} attaining |t| = w_Z(B,C), in (t, v) order."""
-    w = weight_wz(system, pair)
-    if w == INFINITE_WEIGHT:
-        raise ValueError(f"infinite weight for pair {pair}")
-    rest = _restricted(system, pair)
-    out = []
-    for t in _compositions(int(w), len(pair.B)):
-        for v in _feasible_targets(system, pair, rest, t):
-            out.append(LatticePair(pair, t, v))
+def _layer(system: SupportSystem, pair: SubsetPair, rest, total: int) -> list[LatticePair]:
+    """All (t, v) in Z_{B,C} with |t| = total, in (t, v) order; rest is
+    _restricted(system, pair)."""
+    out = [LatticePair(pair, t, v) for t in _compositions(total, len(pair.B))
+           for v in _feasible_targets(system, pair, rest, t)]
     out.sort(key=lambda lp: (lp.t, lp.v))
     return out
+
+
+def zmin_for_pair(system: SupportSystem, pair: SubsetPair) -> list[LatticePair]:
+    """All (t, v) in Z_{B,C} attaining |t| = w_Z(B,C), in (t, v) order: the
+    first nonempty layer of the scan that weight_wz bounds."""
+    rest = _restricted(system, pair)
+    if rest is not None:
+        for total in range(len(pair.B), len(pair.B) + len(pair.C) + 1):
+            layer = _layer(system, pair, rest, total)
+            if layer:
+                return layer
+    raise ValueError(f"infinite weight for pair {pair}")
 
 
 def lattice_window(system: SupportSystem, pair: SubsetPair, L: int) -> list[LatticePair]:
@@ -226,15 +228,7 @@ def lattice_window(system: SupportSystem, pair: SubsetPair, L: int) -> list[Latt
     rest = _restricted(system, pair)
     if rest is None:
         return []
-    out = []
-    for total in range(len(pair.B), L + 1):
-        layer = []
-        for t in _compositions(total, len(pair.B)):
-            for v in _feasible_targets(system, pair, rest, t):
-                layer.append(LatticePair(pair, t, v))
-        layer.sort(key=lambda lp: (lp.t, lp.v))
-        out.extend(layer)
-    return out
+    return [lp for total in range(len(pair.B), L + 1) for lp in _layer(system, pair, rest, total)]
 
 
 def delta_vertices(system: SupportSystem) -> list[tuple[Fraction, ...]]:
@@ -327,20 +321,13 @@ class ClosureVerdict:
     checked: int
 
 
-def psi_closure_check(system: SupportSystem, pair: SubsetPair, p: int, L: int,
-                      _drop: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-                      ) -> ClosureVerdict:
+def psi_closure_check(system: SupportSystem, pair: SubsetPair, p: int, L: int) -> ClosureVerdict:
     """Verify the window is closed under division by p.
 
     For every enumerated (t, v) with |t| <= L whose entries are all divisible
-    by p, the pair (t/p, v/p) must be present as well.  _drop removes one
-    (t, v) from the enumerated set first; it exists so the negative control
-    in the test suite can watch the check fail.
+    by p, the pair (t/p, v/p) must be present as well.
     """
-    window = lattice_window(system, pair, L)
-    members = {(lp.t, lp.v) for lp in window}
-    if _drop is not None:
-        members.discard(_drop)
+    members = {(lp.t, lp.v) for lp in lattice_window(system, pair, L)}
     checked = 0
     for t, v in sorted(members):
         if all(x % p == 0 for x in t) and all(x % p == 0 for x in v):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .geometry import enumerate_integral_points
+from .geometry import fiber_sum
 from .lattice import LatticePair, MinimalData, minimal_data
 from .model import CoefficientKey, SupportSystem
 
@@ -49,11 +49,12 @@ def rational_representations(system: SupportSystem, lp: LatticePair
     vertices, dim = data.vertices[lp]
     if dim < 0:
         raise RuntimeError(f"infeasible fiber for {lp}, violating its invariant")
+    gens = data.reductions[lp.pair].gens
     out = []
     for u in vertices:
         d = math.lcm(*(x.denominator for x in u)) if u else 1
         r = tuple(int(x * d) for x in u)
-        out.append(RationalRepresentation(d, data.fibers[lp].gens, r))
+        out.append(RationalRepresentation(d, gens, r))
     return out
 
 
@@ -99,7 +100,10 @@ def conditional_number(system: SupportSystem) -> ConditionalReport:
             warnings.append(
                 f"fiber of (t={lp.t}, v={lp.v}) at {lp.pair.B}/{lp.pair.C} has dimension "
                 f"{dim}; vertex denominators understate the representation set")
-        multiplicities[lp] = len(enumerate_integral_points(data.fibers[lp]))
+        # the number of integral fiber points: G with every weight 1
+        fiber = data.reductions[lp.pair]
+        ones = [[1] * (max(lp.t) + 1)] * len(fiber.gens)
+        multiplicities[lp] = fiber_sum(fiber, lp.t, lp.v, ones, 0, 1)
     c: int | None = None
     if D == {1}:
         c = 0

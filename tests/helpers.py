@@ -10,13 +10,16 @@ from __future__ import annotations
 import itertools
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
+import axdiv.dwork
 from axdiv import (
     SubsetPair,
     SupportSystem,
     VarietySpec,
     artin_hasse_coefficients,
     build_field,
+    from_int,
     minimal_data,
     restrict_support,
 )
@@ -45,6 +48,25 @@ def count_calls(monkeypatch, fn) -> list:
                 if obj is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def corrupt_first_trace(monkeypatch) -> None:
+    """Add 1 to the trace of the first truncated Dwork matrix with a
+    nonempty basis that trace_formula_count builds: a perturbation that a
+    certified count must surface as a wrong residue or a failed check."""
+    original = axdiv.dwork.truncated_matrix
+    done = []
+
+    def perturbed(*args, **kwargs):
+        matrix = original(*args, **kwargs)
+        if done or not matrix.basis:
+            return matrix
+        done.append(True)
+        trace = matrix.trace()
+        return SimpleNamespace(basis=matrix.basis,
+                               trace=lambda: trace + from_int(1, trace.p, trace.me))
+
+    monkeypatch.setattr(axdiv.dwork, "truncated_matrix", perturbed)
 
 
 def naive_prime_count(spec: VarietySpec, p: int) -> int:
@@ -219,3 +241,83 @@ def naive_hasse_value(system: SupportSystem, p: int, coeffs, a: int) -> int:
             block = sum(entries[x, y] * entries[y, x] for x in lps for y in lps)
         total += (-1) ** (len(pair.B) + len(pair.C) + a * w) * block
     return total % p
+
+
+def _rref(matrix: list[list[Fraction]], rhs: list[Fraction]):
+    """Row reduce; returns (pivot columns, reduced rows, reduced rhs, consistent)."""
+    mat = [row[:] for row in matrix]
+    vec = rhs[:]
+    m = len(mat)
+    k = len(mat[0]) if m else 0
+    pivots: list[int] = []
+    row = 0
+    for col in range(k):
+        sel = next((i for i in range(row, m) if mat[i][col] != 0), None)
+        if sel is None:
+            continue
+        mat[row], mat[sel] = mat[sel], mat[row]
+        vec[row], vec[sel] = vec[sel], vec[row]
+        piv = mat[row][col]
+        mat[row] = [x / piv for x in mat[row]]
+        vec[row] /= piv
+        for i in range(m):
+            if i != row and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[row])]
+                vec[i] -= factor * vec[row]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    consistent = all(vec[i] == 0 for i in range(row, m))
+    return pivots, mat[:row], vec[:row], consistent
+
+
+def _affine_dimension(points: list) -> int:
+    if not points:
+        return -1
+    base = points[0]
+    diffs = [[x - b for x, b in zip(pt, base)] for pt in points[1:]]
+    if not diffs:
+        return 0
+    pivots, _, _, _ = _rref(diffs, [Fraction(0)] * len(diffs))
+    return len(pivots)
+
+
+def fraction_vertices(system: SupportSystem, pair: SubsetPair, t, v):
+    """Vertices and affine dimension of the fiber polytope at (t, v) by
+    Fraction row reduction of every basis, the fiber path the integer
+    enumerate_vertices replaced; ([], -1) for an empty fiber."""
+    t = tuple(int(x) for x in t)
+    v = tuple(int(x) for x in v)
+    gens = tuple((j, g) for j in pair.B for g in restrict_support(system, j, pair.C))
+    if any(x < 0 for x in t) or any(x < 0 for x in v):
+        return [], -1
+    if not gens:
+        if all(x == 0 for x in t) and all(x == 0 for x in v):
+            return [()], 0
+        return [], -1
+    budget = dict(zip(pair.B, t))
+    rows = [[Fraction(1 if gj == j else 0) for gj, _ in gens] for j in pair.B]
+    rhs = [Fraction(budget[j]) for j in pair.B]
+    for i in pair.C:
+        rows.append([Fraction(g[i - 1]) for _, g in gens])
+        rhs.append(Fraction(v[i - 1]))
+    pivots, red, redrhs, consistent = _rref(rows, rhs)
+    if not consistent:
+        return [], -1
+    k = len(gens)
+    rank = len(red)
+    found = set()
+    for cols in itertools.combinations(range(k), rank):
+        sub = [[red[i][j] for j in cols] for i in range(rank)]
+        subpiv, subred, subrhs, ok = _rref(sub, list(redrhs))
+        if not ok or len(subpiv) < rank:
+            continue  # singular basis
+        u = [Fraction(0)] * k
+        for i in range(rank):
+            u[cols[subpiv[i]]] = subrhs[i]
+        if all(x >= 0 for x in u):
+            found.add(tuple(u))
+    vertices = sorted(found)
+    return vertices, _affine_dimension(vertices)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from helpers import count_calls
+from helpers import corrupt_first_trace, count_calls
 
 from axdiv import hasse_blocks, parse_report, serialize_variety_spec, variety_spec_to_json
 from axdiv.cli import main
@@ -109,8 +109,12 @@ def test_non_prime_field_exits_2(ex2_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: p = {p} is not a prime\n"
-    assert main(["verify", ex2_path, "--prime", "9"]) == 2
-    assert "p = 9 is not a prime" in capsys.readouterr().err
+    # every subcommand that reads --prime checks it before any work
+    for command in ("bounds", "hasse", "dwork", "verify"):
+        assert main([command, ex2_path, "--prime", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: p = 9 is not a prime\n"
 
 
 def test_huge_prime_exits_2_on_the_budget(ex2_path, capsys):
@@ -121,14 +125,15 @@ def test_huge_prime_exits_2_on_the_budget(ex2_path, capsys):
     assert captured.err.endswith(" exceeds the enumeration budget 100000000\n")
 
 
-def test_dwork_command_and_self_test(ex2_path, capsys):
+def test_dwork_command_and_self_test(ex2_path, capsys, monkeypatch):
     assert main(["dwork", ex2_path, "--prime", "3"]) == 0
     out = capsys.readouterr().out
-    assert "match" in out
-    # Corrupt mode must detect the perturbation to exit 0.
-    assert main(["dwork", ex2_path, "--prime", "3", "--corrupt"]) == 0
+    assert out.splitlines()[-1] == "match"
+    # A perturbed trace must be caught: exit 1 on the reported mismatch.
+    corrupt_first_trace(monkeypatch)
+    assert main(["dwork", ex2_path, "--prime", "3"]) == 1
     out = capsys.readouterr().out
-    assert "detected" in out
+    assert out.splitlines()[-1] == "MISMATCH"
 
 
 def test_corpus_files(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from helpers import corrupt_first_trace
 
 from axdiv import (
     GammaError,
@@ -166,12 +167,13 @@ def test_trace_formula_rejects_constant_terms():
         trace_formula_count(V, 3)
 
 
-def test_trace_formula_corrupt_control():
+def test_trace_formula_corrupt_control(monkeypatch):
     # Poisoning one trace must surface as a wrong residue or a failed
     # integrality check; silence would mean the certification is vacuous.
     honest = trace_formula_count(line_spec(), 3)
+    corrupt_first_trace(monkeypatch)
     try:
-        corrupt = trace_formula_count(line_spec(), 3, _corrupt=True)
+        corrupt = trace_formula_count(line_spec(), 3)
     except NonIntegralError:
         return
     assert corrupt.residue != honest.residue

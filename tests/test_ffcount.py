@@ -50,6 +50,21 @@ def test_build_field_rejects_non_primes():
         assert build_field(p, 1).p == p
 
 
+def test_build_field_guards_the_table_limit_before_its_search(monkeypatch):
+    # F_{p^2} for p = 10000019 is far past TABLE_LIMIT; refusing it must not
+    # first search the p^2 candidate moduli
+    calls = []
+
+    def searched(*args):
+        calls.append(args)
+        raise AssertionError("a candidate modulus was tested")
+
+    monkeypatch.setattr(ffcount, "_is_irreducible", searched)
+    with pytest.raises(CountGuardError, match="exceeds the table limit 1024"):
+        build_field(10000019, 2)
+    assert calls == []
+
+
 def test_prime_check_matches_trial_division():
     def trial(p):
         return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))

@@ -1,11 +1,12 @@
-"""Exact LP, minimal dilation, and fiber polytope enumeration."""
+"""Exact LP, minimal dilation, and the fiber kernel: integral point sums and
+the vertices of the fiber polytope."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
-from helpers import naive_fiber_points, naive_g
+from helpers import fraction_vertices, naive_fiber_points, naive_g
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,14 +14,13 @@ from axdiv import (
     InfeasibleError,
     SparsePolynomialModP,
     UnboundedError,
-    enumerate_integral_points,
     enumerate_vertices,
-    fiber_feasible,
-    fiber_polytope,
     fiber_reduction,
     fiber_sum,
+    generate_corpus,
     lp_feasible,
     lp_minimize,
+    minimal_data,
     minimal_dilation,
     rational_lp,
     restrict_support,
@@ -96,33 +96,38 @@ def test_minimal_dilation_rejects_empty():
         minimal_dilation([], (1,))
 
 
-def test_fiber_polytope_shape(ex2_system):
+def point_count(system, pair, t, v):
+    """The number of integral fiber points: fiber_sum with every weight 1."""
+    fiber = fiber_reduction(system, pair)
+    ones = [[1] * (max(t) + 1)] * len(fiber.gens)
+    return fiber_sum(fiber, t, v, ones, 0, 1)
+
+
+def test_enumerate_vertices_rejects_bad_input(ex2_system):
     pair = subset_pair([1], [2, 3])
-    f = fiber_polytope(ex2_system, pair, (1,), (0, 2, 2))
+    fiber = fiber_reduction(ex2_system, pair)
     # Only the generator supported inside C becomes a variable.
-    assert f.gens == ((1, (0, 2, 2)),)
-    with pytest.raises(ValueError):
-        fiber_polytope(ex2_system, pair, (1,), (1, 2, 2))  # nonzero off C
-    with pytest.raises(ValueError):
-        fiber_polytope(ex2_system, pair, (1, 1), (0, 2, 2))
+    assert fiber.gens == ((1, (0, 2, 2)),)
+    with pytest.raises(ValueError, match="vanish off C"):
+        enumerate_vertices(fiber, (1,), (1, 2, 2))
+    with pytest.raises(ValueError, match="one entry per index in B"):
+        enumerate_vertices(fiber, (1, 1), (0, 2, 2))
+    with pytest.raises(ValueError, match="length n"):
+        enumerate_vertices(fiber, (1,), (2, 2))
 
 
-def test_fiber_feasible_matches_rational_membership(ex2_system):
-    pair = subset_pair([1], [2, 3])
-    assert fiber_feasible(ex2_system, pair, (1,), (0, 2, 2)).feasible
-    assert not fiber_feasible(ex2_system, pair, (1,), (0, 5, 2)).feasible
-    assert not fiber_feasible(ex2_system, pair, (-1,), (0, -2, -2)).feasible
-
-
-def test_enumerate_integral_points_goldens(ex2_system):
+def test_fiber_point_count_goldens(ex2_system):
     # Level-2 fiber over (2, (3, 5, 2)): both generators forced once.
-    f = fiber_polytope(ex2_system, subset_pair([1], [1, 2, 3]), (2,), (3, 5, 2), level=2)
-    assert enumerate_integral_points(f) == [(1, 1)]
+    args = (ex2_system, subset_pair([1], [1, 2, 3]), (2,), (3, 5, 2))
+    assert naive_fiber_points(*args) == [(1, 1)]
+    assert point_count(*args) == 1
     # One restricted generator, scaled by 4: the single variable carries it all.
-    f = fiber_polytope(ex2_system, subset_pair([1], [2, 3]), (4,), (0, 8, 8), level=4)
-    assert enumerate_integral_points(f) == [(4,)]
-    f = fiber_polytope(ex2_system, subset_pair([1], [2, 3]), (1,), (0, 1, 2))
-    assert enumerate_integral_points(f) == []
+    args = (ex2_system, subset_pair([1], [2, 3]), (4,), (0, 8, 8))
+    assert naive_fiber_points(*args) == [(4,)]
+    assert point_count(*args) == 1
+    args = (ex2_system, subset_pair([1], [2, 3]), (1,), (0, 1, 2))
+    assert naive_fiber_points(*args) == []
+    assert point_count(*args) == 0
 
 
 @pytest.mark.parametrize("n, supports, B, C, t, v", [
@@ -136,35 +141,38 @@ def test_enumerate_integral_points_goldens(ex2_system):
 def test_integral_points_match_naive_oracle(n, supports, B, C, t, v):
     system = support_system(n, supports)
     pair = subset_pair(B, C)
-    f = fiber_polytope(system, pair, t, v)
-    assert enumerate_integral_points(f) == naive_fiber_points(system, pair, t, v)
+    assert point_count(system, pair, t, v) == len(naive_fiber_points(system, pair, t, v))
 
 
 def test_enumerate_vertices_goldens(ex2_system, skew_system):
-    f = fiber_polytope(skew_system, subset_pair([1], [1, 2]), (1,), (2, 2))
-    vertices, dim = enumerate_vertices(f)
+    fiber = fiber_reduction(skew_system, subset_pair([1], [1, 2]))
+    vertices, dim = enumerate_vertices(fiber, (1,), (2, 2))
     assert vertices == [(Fraction(1, 2), Fraction(1, 2))]
     assert dim == 0
-    f = fiber_polytope(ex2_system, subset_pair([1], [2, 3]), (1,), (0, 2, 2))
-    vertices, dim = enumerate_vertices(f)
+    fiber = fiber_reduction(ex2_system, subset_pair([1], [2, 3]))
+    vertices, dim = enumerate_vertices(fiber, (1,), (0, 2, 2))
     assert vertices == [(Fraction(1),)]
     assert dim == 0
-    f = fiber_polytope(ex2_system, subset_pair([1], [2, 3]), (1,), (0, 1, 2))
-    vertices, dim = enumerate_vertices(f)
+    vertices, dim = enumerate_vertices(fiber, (1,), (0, 1, 2))
+    assert vertices == []
+    assert dim == -1
+    vertices, dim = enumerate_vertices(fiber, (-1,), (0, 2, 2))
     assert vertices == []
     assert dim == -1
 
 
 def test_vertices_are_feasible_and_extreme(ex2_system):
     # A one-dimensional fiber: level 2 over the doubled mixed target.
-    f = fiber_polytope(ex2_system, subset_pair([1], [1, 2, 3]), (2,), (3, 5, 2), level=2)
-    vertices, dim = enumerate_vertices(f)
+    pair = subset_pair([1], [1, 2, 3])
+    fiber = fiber_reduction(ex2_system, pair)
+    v = (3, 5, 2)
+    vertices, dim = enumerate_vertices(fiber, (2,), v)
     assert dim >= 0
-    rows = [[Fraction(1) for _ in f.gens]]
+    rows = [[Fraction(1) for _ in fiber.gens]]
     rhs = [Fraction(2)]
-    for i in f.pair.C:
-        rows.append([Fraction(g[i - 1]) for _, g in f.gens])
-        rhs.append(Fraction(f.v[i - 1]))
+    for i in pair.C:
+        rows.append([Fraction(g[i - 1]) for _, g in fiber.gens])
+        rhs.append(Fraction(v[i - 1]))
     for vert in vertices:
         assert all(x >= 0 for x in vert)
         for row, b in zip(rows, rhs):
@@ -287,3 +295,27 @@ def test_fiber_sum_edge_cases(ring, supports, C, t, v, points):
     want = naive_g(system, pair, t, v, tables, zero, one)
     assert _canonical(got, ring) == _canonical(want, ring)
     assert (_canonical(got, ring) == _canonical(zero, ring)) == (points == 0)
+
+
+# -- the integer vertex enumeration against the Fraction one it replaced
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_vertices_match_fraction_oracle_on_corpus(seed):
+    # every minimal level-1 fiber; some must be positive-dimensional and
+    # some must have a fractional vertex, or the comparison shows little
+    wide = fractional = 0
+    for spec in generate_corpus(seed, 10):
+        for lp, (vertices, dim) in minimal_data(spec.system).vertices.items():
+            assert (list(vertices), dim) == fraction_vertices(spec.system, lp.pair, lp.t, lp.v)
+            wide += dim > 0
+            fractional += any(x.denominator != 1 for u in vertices for x in u)
+    assert wide > 0 and fractional > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fiber_cases())
+def test_vertices_match_fraction_oracle(case):
+    system, pair, t, v = case
+    got = enumerate_vertices(fiber_reduction(system, pair), t, v)
+    assert got == fraction_vertices(system, pair, t, v)

@@ -135,10 +135,16 @@ def test_psi_closure_holds(ex2_system):
     assert verdict.ok
 
 
-def test_psi_closure_negative_control(ex2_system):
+def test_psi_closure_negative_control(ex2_system, monkeypatch):
     # Dropping the divided point must make the check fail on its multiple.
+    window = axdiv.lattice.lattice_window
+
+    def dropped(*args):
+        return [lp for lp in window(*args) if (lp.t, lp.v) != ((1,), (0, 2, 2))]
+
+    monkeypatch.setattr(axdiv.lattice, "lattice_window", dropped)
     pair = subset_pair([1], [2, 3])
-    verdict = psi_closure_check(ex2_system, pair, 3, 6, _drop=((1,), (0, 2, 2)))
+    verdict = psi_closure_check(ex2_system, pair, 3, 6)
     assert not verdict.ok
     assert verdict.witness == LatticePair(pair, (3,), (0, 6, 6))
 
@@ -173,7 +179,8 @@ def test_bound_report_then_conditional_number_scan_once(monkeypatch, fresh_analy
 
 
 def test_bound_report_leaves_zmin_unbuilt(monkeypatch, fresh_analyses):
-    calls = count_calls(monkeypatch, zmin_for_pair)
+    # zmin is built one |t| layer per pair of K, at the weight K holds
+    calls = count_calls(monkeypatch, axdiv.lattice._layer)
     system = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
     assert bound_report(system).mu_polytope == 1
     assert len(calls) == 0
