@@ -24,10 +24,14 @@ approximations in this package live in dwork.py.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+# every array here is int64 and nothing calls BLAS, whose idle worker threads
+# would otherwise spin for tens of ms of CPU in every process
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .lattice import minimal_data

@@ -6,8 +6,9 @@ throughout.  Nothing in this module touches floating point, so feasibility
 verdicts come with exact witnesses and infeasibility with Farkas certificates.
 Every fiber question goes through one integer row reduction per subset pair
 (fiber_reduction): fiber_sum computes every sum G over the integral points of
-a fiber, in integer arithmetic only, and enumerate_vertices reads off the
-vertices of the real fiber.
+a fiber, in integer arithmetic only, enumerate_vertices reads off the
+vertices of the real fiber, and cone_facets the integer facets of the cone of
+right-hand sides whose fiber is nonempty.
 """
 
 from __future__ import annotations
@@ -318,6 +319,47 @@ def fiber_reduction(system: SupportSystem, pair: SubsetPair) -> FiberReduction:
 
 def _dot(xs: Sequence[int], ys: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(xs, ys))
+
+
+def cone_facets(fiber: FiberReduction) -> tuple[tuple[int, ...], ...]:
+    """The primitive integer normals a of the facets of the cone spanned by
+    the generator columns (e_j, g restricted to C) of the fiber equations,
+    in the coordinates b of fiber_reduction, sorted and distinct: b has a
+    nonempty real fiber exactly when check . b = 0 for every check and
+    a . b >= 0 for every normal.
+
+    With no free generator the cone is simplicial, and u[pivots[i]] >= 0
+    reads transforms[i] . b >= 0.  Otherwise every set of len(pivots) - 1
+    columns is tried, with the checks appended as rows: where the null space
+    is one-dimensional it spans a normal a in the span of the cone, kept
+    (with its sign) when every column lies on one side of it.  Exhaustive,
+    like enumerate_vertices.
+    """
+    nb = len(fiber.pair.B)
+    m = nb + len(fiber.pair.C)
+    columns = [[1 if idx == bi else 0 for idx in range(nb)] + [g[i - 1] for i in fiber.pair.C]
+               for bi, (_, g) in zip(fiber.budget_index, fiber.gens)]
+    normals = [] if fiber.free else list(fiber.transforms)
+    bases = combinations(columns, len(fiber.pivots) - 1) if fiber.free else ()
+    for cols in bases:
+        mat = [list(col) for col in cols] + [list(check) for check in fiber.checks]
+        pivot_of = _eliminate(mat, range(m))
+        if len(pivot_of) < m - 1:
+            continue
+        (c0,) = set(range(m)) - set(pivot_of.values())
+        scale = math.lcm(*(mat[r][c] for r, c in pivot_of.items()))
+        a = [0] * m
+        a[c0] = scale
+        for r, c in pivot_of.items():
+            a[c] = -mat[r][c0] * scale // mat[r][c]
+        sides = {_dot(a, col) > 0 for col in columns if _dot(a, col)}
+        if len(sides) == 1:
+            normals.append(a if sides == {True} else [-x for x in a])
+    out = set()
+    for a in normals:
+        content = math.gcd(*a)
+        out.add(tuple(x // content for x in a))
+    return tuple(sorted(out))
 
 
 def fiber_sum(fiber: FiberReduction, t: Sequence[int], v: Sequence[int],

@@ -20,18 +20,16 @@ from typing import Iterator, Mapping, Sequence
 from .geometry import (
     FiberReduction,
     Point,
+    cone_facets,
     enumerate_vertices,
     fiber_reduction,
-    lp_feasible,
     minimal_dilation,
-    rational_lp,
 )
 from .model import (
     ExponentVector,
     SubsetPair,
     SupportSystem,
     enumerate_subset_pairs,
-    restrict_support,
 )
 
 INFINITE_WEIGHT = math.inf
@@ -76,7 +74,7 @@ class MinimalData:
         """The minimal lattice pairs of every pair of K: its layer at the
         weight K holds."""
         return MappingProxyType({
-            pair: tuple(_layer(self.system, pair, _restricted(self.system, pair), w))
+            pair: tuple(_layer(self.reductions[pair], cone_facets(self.reductions[pair]), w))
             for pair, w in self.K})
 
     @cached_property
@@ -107,77 +105,74 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _restricted(system: SupportSystem, pair: SubsetPair):
-    rest = {j: restrict_support(system, j, pair.C) for j in pair.B}
-    if any(not gs for gs in rest.values()):
+def _cone(system: SupportSystem, pair: SubsetPair):
+    """The fiber equations of pair and the facets of their cone, or None when
+    w_Z(B,C) is infinite: some polynomial of B has no monomial inside C, or
+    some coordinate of C appears in none."""
+    fiber = fiber_reduction(system, pair)
+    if (len(set(fiber.budget_index)) < len(pair.B)
+            or not all(any(g[i - 1] for _, g in fiber.gens) for i in pair.C)):
         return None
-    covered = set()
-    for gs in rest.values():
-        for g in gs:
-            covered.update(i for i in pair.C if g[i - 1] > 0)
-    if covered != set(pair.C):
-        return None  # some coordinate of C unreachable, weight is infinite
-    return rest
+    return fiber, cone_facets(fiber)
 
 
-def _prefix_lp(pair: SubsetPair, rest, t: Sequence[int], fixed: Sequence[int]):
-    """Feasibility LP for a partially fixed target: the first len(fixed)
-    coordinates of C are pinned, the rest only have to reach 1 (slack
-    columns make >= 1 an equality)."""
-    gens = [(j, g) for j in pair.B for g in rest[j]]
-    nfree = len(pair.C) - len(fixed)
-    rows = []
-    rhs = []
-    for j, tj in zip(pair.B, t):
-        rows.append([1 if jj == j else 0 for jj, _ in gens] + [0] * nfree)
-        rhs.append(tj)
-    for idx, i in enumerate(pair.C):
-        row = [g[i - 1] for _, g in gens]
-        if idx < len(fixed):
-            rows.append(row + [0] * nfree)
-            rhs.append(fixed[idx])
-        else:
-            slack = [0] * nfree
-            slack[idx - len(fixed)] = -1
-            rows.append(row + slack)
-            rhs.append(1)
-    return rational_lp(rows, rhs)
-
-
-def _feasible_targets(system: SupportSystem, pair: SubsetPair, rest,
+def _feasible_targets(fiber: FiberReduction, facets: Sequence[tuple[int, ...]],
                       t: Sequence[int]) -> Iterator[ExponentVector]:
-    """Integral v positive exactly on C with a feasible fiber at budget t,
-    in lex order over the C coordinates.
+    """Integral v positive exactly on C with a nonempty real fiber at budget
+    t, in lex order over the C coordinates.
 
     Depth-first over the per-axis box of the Minkowski sum of t_j-dilated
-    restricted supports; a subtree is cut when even the relaxed LP (tail
-    coordinates only required to reach 1) is infeasible.  Leaves are exact
-    membership tests, so the enumeration is complete.
+    restricted supports.  Membership is a . (t, v) >= 0 for every facet and
+    for every check and its negative; a coordinate only takes the values for
+    which every such form can still reach 0 over the box of the coordinates
+    after it.  At a leaf that is the exact membership test, so the
+    enumeration is complete.
     """
-    n = system.n
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    for i in pair.C:
-        lo[i] = max(1, sum(tj * min(g[i - 1] for g in rest[j])
-                           for j, tj in zip(pair.B, t)))
-        hi[i] = sum(tj * max(g[i - 1] for g in rest[j]) for j, tj in zip(pair.B, t))
-    if any(lo[i] > hi[i] for i in pair.C):
+    nb = len(fiber.pair.B)
+    groups = [[g for (_, g), bi in zip(fiber.gens, fiber.budget_index) if bi == idx]
+              for idx in range(nb)]
+    lo = [max(1, sum(tj * min(g[i - 1] for g in gs) for tj, gs in zip(t, groups)))
+          for i in fiber.pair.C]
+    hi = [sum(tj * max(g[i - 1] for g in gs) for tj, gs in zip(t, groups)) for i in fiber.pair.C]
+    if any(a > b for a, b in zip(lo, hi)):
         return
+    forms = list(facets) + list(fiber.checks) + [[-x for x in c] for c in fiber.checks]
+    coefs = [a[nb:] for a in forms]
+    start = [sum(x * tj for x, tj in zip(a, t)) for a in forms]
+    # tops[f][idx]: the largest value of form f over the box of coordinates idx..
+    tops = []
+    for coef in coefs:
+        top = [0]
+        for c, low, high in zip(reversed(coef), reversed(lo), reversed(hi)):
+            top.append(top[-1] + max(c * low, c * high))
+        tops.append(top[::-1])
+    if any(value + top[0] < 0 for value, top in zip(start, tops)):
+        return
+    n = fiber.n
+    depth = len(fiber.pair.C)
 
-    def walk(idx: int, acc: list[int]) -> Iterator[ExponentVector]:
-        if not lp_feasible(_prefix_lp(pair, rest, t, acc)).feasible:
-            return
-        if idx == len(pair.C):
+    def walk(idx: int, values: list[int], acc: list[int]) -> Iterator[ExponentVector]:
+        if idx == depth:
             v = [0] * n
-            for i, x in zip(pair.C, acc):
+            for i, x in zip(fiber.pair.C, acc):
                 v[i - 1] = x
             yield tuple(v)
             return
-        i = pair.C[idx]
-        for x in range(lo[i], hi[i] + 1):
-            yield from walk(idx + 1, acc + [x])
+        x_lo, x_hi = lo[idx], hi[idx]
+        for value, coef, top in zip(values, coefs, tops):
+            c = coef[idx]
+            slack = value + top[idx + 1]
+            if c > 0:
+                x_lo = max(x_lo, -(slack // c))
+            elif c < 0:
+                x_hi = min(x_hi, slack // -c)
+            elif slack < 0:
+                return
+        for x in range(x_lo, x_hi + 1):
+            yield from walk(idx + 1, [value + coef[idx] * x for value, coef in zip(values, coefs)],
+                            acc + [x])
 
-    yield from walk(0, [])
+    yield from walk(0, start, [])
 
 
 def weight_wz(system: SupportSystem, pair: SubsetPair,
@@ -189,24 +184,25 @@ def weight_wz(system: SupportSystem, pair: SubsetPair,
     is exhaustive.  A smaller cap restricts the scan; the infinite return then
     only certifies w_Z > cap.
     """
-    rest = _restricted(system, pair)
-    if rest is None:
+    cone = _cone(system, pair)
+    if cone is None:
         return INFINITE_WEIGHT
     bound = len(pair.B) + len(pair.C)
     if cap is not None:
         bound = min(bound, cap)
     for total in range(len(pair.B), bound + 1):
         for t in _compositions(total, len(pair.B)):
-            if next(_feasible_targets(system, pair, rest, t), None) is not None:
+            if next(_feasible_targets(*cone, t), None) is not None:
                 return total
     return INFINITE_WEIGHT
 
 
-def _layer(system: SupportSystem, pair: SubsetPair, rest, total: int) -> list[LatticePair]:
-    """All (t, v) in Z_{B,C} with |t| = total, in (t, v) order; rest is
-    _restricted(system, pair)."""
-    out = [LatticePair(pair, t, v) for t in _compositions(total, len(pair.B))
-           for v in _feasible_targets(system, pair, rest, t)]
+def _layer(fiber: FiberReduction, facets: Sequence[tuple[int, ...]],
+           total: int) -> list[LatticePair]:
+    """All (t, v) in Z_{B,C} with |t| = total, in (t, v) order; facets is
+    cone_facets(fiber)."""
+    out = [LatticePair(fiber.pair, t, v) for t in _compositions(total, len(fiber.pair.B))
+           for v in _feasible_targets(fiber, facets, t)]
     out.sort(key=lambda lp: (lp.t, lp.v))
     return out
 
@@ -214,10 +210,10 @@ def _layer(system: SupportSystem, pair: SubsetPair, rest, total: int) -> list[La
 def zmin_for_pair(system: SupportSystem, pair: SubsetPair) -> list[LatticePair]:
     """All (t, v) in Z_{B,C} attaining |t| = w_Z(B,C), in (t, v) order: the
     first nonempty layer of the scan that weight_wz bounds."""
-    rest = _restricted(system, pair)
-    if rest is not None:
+    cone = _cone(system, pair)
+    if cone is not None:
         for total in range(len(pair.B), len(pair.B) + len(pair.C) + 1):
-            layer = _layer(system, pair, rest, total)
+            layer = _layer(*cone, total)
             if layer:
                 return layer
     raise ValueError(f"infinite weight for pair {pair}")
@@ -225,10 +221,10 @@ def zmin_for_pair(system: SupportSystem, pair: SubsetPair) -> list[LatticePair]:
 
 def lattice_window(system: SupportSystem, pair: SubsetPair, L: int) -> list[LatticePair]:
     """All (t, v) in Z_{B,C} with |t| <= L, ordered by |t| then lex."""
-    rest = _restricted(system, pair)
-    if rest is None:
+    cone = _cone(system, pair)
+    if cone is None:
         return []
-    return [lp for total in range(len(pair.B), L + 1) for lp in _layer(system, pair, rest, total)]
+    return [lp for total in range(len(pair.B), L + 1) for lp in _layer(*cone, total)]
 
 
 def delta_vertices(system: SupportSystem) -> list[tuple[Fraction, ...]]:
@@ -254,11 +250,12 @@ def weight_polytope(system: SupportSystem) -> int:
     if system.covered_variables() != frozenset(range(1, system.n + 1)):
         raise WeightUnreachableError("some variable appears in no monomial")
     full = SubsetPair(tuple(range(1, system.r + 1)), tuple(range(1, system.n + 1)))
-    rest = _restricted(system, full)
+    fiber = fiber_reduction(system, full)
+    facets = cone_facets(fiber)
     vertices = delta_vertices(system)
     for total in range(system.r, system.n + system.r + 1):
         for t in _compositions(total, system.r):
-            v = next(_feasible_targets(system, full, rest, t), None)
+            v = next(_feasible_targets(fiber, facets, t), None)
             if v is None:
                 continue
             # independent route: the dilation of the witness must equal |t|

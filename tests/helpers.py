@@ -8,6 +8,7 @@ test, not speed.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,7 +21,9 @@ from axdiv import (
     artin_hasse_coefficients,
     build_field,
     from_int,
+    lp_feasible,
     minimal_data,
+    rational_lp,
     restrict_support,
 )
 
@@ -321,3 +324,125 @@ def fraction_vertices(system: SupportSystem, pair: SubsetPair, t, v):
             found.add(tuple(u))
     vertices = sorted(found)
     return vertices, _affine_dimension(vertices)
+
+
+# -- the lattice scan on the Fraction simplex, as it was before the facet test
+
+
+def _restricted(system: SupportSystem, pair: SubsetPair):
+    rest = {j: restrict_support(system, j, pair.C) for j in pair.B}
+    if any(not gs for gs in rest.values()):
+        return None
+    covered = set()
+    for gs in rest.values():
+        for g in gs:
+            covered.update(i for i in pair.C if g[i - 1] > 0)
+    if covered != set(pair.C):
+        return None  # some coordinate of C unreachable, weight is infinite
+    return rest
+
+
+def _prefix_lp(pair: SubsetPair, rest, t, fixed):
+    """Feasibility LP for a partially fixed target: the first len(fixed)
+    coordinates of C are pinned, the rest only have to reach 1 (slack
+    columns make >= 1 an equality)."""
+    gens = [(j, g) for j in pair.B for g in rest[j]]
+    nfree = len(pair.C) - len(fixed)
+    rows = []
+    rhs = []
+    for j, tj in zip(pair.B, t):
+        rows.append([1 if jj == j else 0 for jj, _ in gens] + [0] * nfree)
+        rhs.append(tj)
+    for idx, i in enumerate(pair.C):
+        row = [g[i - 1] for _, g in gens]
+        if idx < len(fixed):
+            rows.append(row + [0] * nfree)
+            rhs.append(fixed[idx])
+        else:
+            slack = [0] * nfree
+            slack[idx - len(fixed)] = -1
+            rows.append(row + slack)
+            rhs.append(1)
+    return rational_lp(rows, rhs)
+
+
+def _feasible_targets(system: SupportSystem, pair: SubsetPair, rest, t):
+    """Integral v positive exactly on C with a feasible fiber at budget t,
+    in lex order over the C coordinates.
+
+    Depth-first over the per-axis box of the Minkowski sum of t_j-dilated
+    restricted supports; a subtree is cut when even the relaxed LP (tail
+    coordinates only required to reach 1) is infeasible.  Leaves are exact
+    membership tests, so the enumeration is complete.
+    """
+    n = system.n
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for i in pair.C:
+        lo[i] = max(1, sum(tj * min(g[i - 1] for g in rest[j])
+                           for j, tj in zip(pair.B, t)))
+        hi[i] = sum(tj * max(g[i - 1] for g in rest[j]) for j, tj in zip(pair.B, t))
+    if any(lo[i] > hi[i] for i in pair.C):
+        return
+
+    def walk(idx: int, acc: list[int]):
+        if not lp_feasible(_prefix_lp(pair, rest, t, acc)).feasible:
+            return
+        if idx == len(pair.C):
+            v = [0] * n
+            for i, x in zip(pair.C, acc):
+                v[i - 1] = x
+            yield tuple(v)
+            return
+        i = pair.C[idx]
+        for x in range(lo[i], hi[i] + 1):
+            yield from walk(idx + 1, acc + [x])
+
+    yield from walk(0, [])
+
+
+def _lp_layer(system: SupportSystem, pair: SubsetPair, rest, total: int):
+    """The sorted (t, v) of Z_{B,C} with |t| = total, by the LP scan."""
+    if total < len(pair.B):
+        return []
+    return sorted((tuple(x + 1 for x in t), v)
+                  for t in _compositions(total - len(pair.B), len(pair.B))
+                  for v in _feasible_targets(system, pair, rest, tuple(x + 1 for x in t)))
+
+
+def lp_zmin_for_pair(system: SupportSystem, pair: SubsetPair):
+    """The first nonempty layer of the LP scan, |t| = w_Z(B,C), or None
+    when the weight is infinite."""
+    rest = _restricted(system, pair)
+    if rest is not None:
+        for total in range(len(pair.B), len(pair.B) + len(pair.C) + 1):
+            layer = _lp_layer(system, pair, rest, total)
+            if layer:
+                return layer
+    return None
+
+
+def lp_lattice_window(system: SupportSystem, pair: SubsetPair, L: int):
+    """The (t, v) of Z_{B,C} with |t| <= L, by |t| then lex, by the LP scan."""
+    rest = _restricted(system, pair)
+    if rest is None:
+        return []
+    return [lp for total in range(len(pair.B), L + 1)
+            for lp in _lp_layer(system, pair, rest, total)]
+
+
+def diagonal_mu(degrees) -> int:
+    """mu of the diagonal form sum x_i^d_i from its closed form: the least
+    integer t = sum v_i / d_i with 1 <= v_i <= d_i, minus 1, by a dynamic
+    programme over the sums scaled by lcm(d)."""
+    scale = math.lcm(*degrees)
+    sums = {0}
+    for d in degrees:
+        sums = {s + v * (scale // d) for s in sums for v in range(1, d + 1)}
+    return min(s // scale for s in sums if s % scale == 0) - 1
+
+
+def diagonal_system(degrees) -> SupportSystem:
+    n = len(degrees)
+    return SupportSystem(n, (tuple(tuple(d if k == i else 0 for k in range(n))
+                                   for i, d in enumerate(degrees)),))

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -264,3 +267,17 @@ def test_count_report(ex2_variety):
     report = count_report(ex2_variety, 3, a=2)
     assert (report.count, report.valuation) == (153, 1)
     assert report.meets_bound
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_import_sets_a_default_blas_thread_count(preset, want):
+    # numpy's OpenBLAS spins an idle worker unless told to run single-threaded;
+    # a value set by the user wins
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run([sys.executable, "-c",
+                          "import os, axdiv; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == want

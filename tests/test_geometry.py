@@ -5,8 +5,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import itertools
+import math
+
 import pytest
-from helpers import fraction_vertices, naive_fiber_points, naive_g
+from helpers import _rref, fraction_vertices, naive_fiber_points, naive_g
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +17,8 @@ from axdiv import (
     InfeasibleError,
     SparsePolynomialModP,
     UnboundedError,
+    cone_facets,
+    enumerate_subset_pairs,
     enumerate_vertices,
     fiber_reduction,
     fiber_sum,
@@ -319,3 +324,37 @@ def test_vertices_match_fraction_oracle(case):
     system, pair, t, v = case
     got = enumerate_vertices(fiber_reduction(system, pair), t, v)
     assert got == fraction_vertices(system, pair, t, v)
+
+
+# -- the facets of the cone of feasible right-hand sides
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cone_facets_on_corpus(seed):
+    # each normal supports the cone along rank - 1 generators, and the
+    # facets with the checks decide membership as the fiber LP does
+    nonsimplicial = 0
+    for spec in generate_corpus(seed, 10):
+        system = spec.system
+        for pair in enumerate_subset_pairs(system.n, system.r):
+            fiber = fiber_reduction(system, pair)
+            facets = cone_facets(fiber)
+            columns = [[1 if j == jj else 0 for jj in pair.B] + [g[i - 1] for i in pair.C]
+                       for j, g in fiber.gens]
+            rank = len(fiber.pivots)
+            assert len(set(facets)) == len(facets) and list(facets) == sorted(facets)
+            for a in facets:
+                assert math.gcd(*a) == 1
+                assert all(sum(x * y for x, y in zip(a, col)) >= 0 for col in columns)
+                tight = [[Fraction(x) for x in col] for col in columns
+                         if sum(x * y for x, y in zip(a, col)) == 0]
+                assert len(_rref(tight, [Fraction(0)] * len(tight))[0]) == rank - 1
+            nonsimplicial += bool(fiber.free)
+            if not columns:
+                continue
+            equations = [list(row) for row in zip(*columns)]
+            for b in itertools.product(range(3), repeat=len(pair.B) + len(pair.C)):
+                inside = (all(sum(x * y for x, y in zip(c, b)) == 0 for c in fiber.checks)
+                          and all(sum(x * y for x, y in zip(a, b)) >= 0 for a in facets))
+                assert inside == lp_feasible(rational_lp(equations, b)).feasible
+    assert nonsimplicial > 0

@@ -7,7 +7,15 @@ import math
 import weakref
 
 import pytest
-from helpers import count_calls
+from helpers import (
+    count_calls,
+    diagonal_mu,
+    diagonal_system,
+    lp_lattice_window,
+    lp_zmin_for_pair,
+)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import axdiv.lattice
 from axdiv import (
@@ -16,6 +24,7 @@ from axdiv import (
     WeightUnreachableError,
     bound_report,
     conditional_number,
+    enumerate_subset_pairs,
     enumerate_vertices,
     lattice_window,
     minimal_data,
@@ -84,6 +93,54 @@ def test_lattice_window_mixed_pair(ex2_system):
     # Everything at the minimal level is exactly the zmin set.
     level2 = [lp for lp in window if lp.total == 2]
     assert level2 == zmin_for_pair(ex2_system, pair)
+
+
+# -- the facet scan against the Fraction-simplex scan it replaced
+
+
+@st.composite
+def scan_systems(draw):
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 2))
+    vector = st.tuples(*[st.integers(0, 3)] * n)
+    return support_system(n, [draw(st.lists(vector, min_size=1, max_size=6, unique=True))
+                              for _ in range(r)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=scan_systems())
+# a system on which plain Fourier-Motzkin elimination of the free generators
+# blows up, where the facet search stays small
+@example(system=support_system(3, [
+    [(0, 0, 1), (0, 1, 2), (1, 3, 2), (2, 1, 0), (3, 2, 0), (3, 2, 1)],
+    [(0, 1, 0), (0, 2, 0), (0, 2, 2), (1, 0, 3)]]))
+def test_scans_match_the_lp_scan(system):
+    for pair in enumerate_subset_pairs(system.n, system.r):
+        want = lp_zmin_for_pair(system, pair)
+        if want is None:
+            assert weight_wz(system, pair) is INFINITE_WEIGHT
+            with pytest.raises(ValueError):
+                zmin_for_pair(system, pair)
+        else:
+            assert weight_wz(system, pair) == sum(want[0][0])
+            assert [(lp.t, lp.v) for lp in zmin_for_pair(system, pair)] == want
+        got = [(lp.t, lp.v) for lp in lattice_window(system, pair, 2)]
+        assert got == lp_lattice_window(system, pair, 2)
+
+
+@pytest.mark.parametrize("degrees, mu", [
+    ((2, 2, 3, 3, 3), 1),
+    ((2, 3, 3, 4, 4), 1),
+    ((2, 3, 4, 5, 6), 2),
+])
+def test_diagonal_mu_goldens(degrees, mu):
+    system = diagonal_system(degrees)
+    assert diagonal_mu(degrees) == mu
+    assert minimal_data(system).mu == mu
+
+
+def test_diagonal_denominator_set():
+    assert conditional_number(diagonal_system((2, 3, 4, 5, 6))).D_set == {1, 6}
 
 
 def test_weight_polytope_goldens(ex2_system, skew_system):
