@@ -43,7 +43,6 @@ from .geometry import (
     FiberReduction,
     InfeasibleError,
     UnboundedError,
-    cone_facets,
     enumerate_vertices,
     fiber_reduction,
     fiber_sum,

@@ -30,9 +30,14 @@ from fractions import Fraction
 from functools import cached_property
 
 # every array here is int64 and nothing calls BLAS, whose idle worker threads
-# would otherwise spin for tens of ms of CPU in every process
+# would otherwise spin for tens of ms of CPU in every process; OpenBLAS reads
+# the variable once, as numpy loads, so the caller's environment is restored
+_BLAS_PRESET = os.environ.get("OPENBLAS_NUM_THREADS")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
+
+if _BLAS_PRESET is None:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .lattice import minimal_data
 from .model import VarietySpec, coefficient_residue

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .model import (
@@ -326,40 +326,41 @@ def cone_facets(fiber: FiberReduction) -> tuple[tuple[int, ...], ...]:
     the generator columns (e_j, g restricted to C) of the fiber equations,
     in the coordinates b of fiber_reduction, sorted and distinct: b has a
     nonempty real fiber exactly when check . b = 0 for every check and
-    a . b >= 0 for every normal.
+    a . b >= 0 for every normal.  A normal is only fixed up to adding
+    checks, which vanish on the cone.
 
-    With no free generator the cone is simplicial, and u[pivots[i]] >= 0
-    reads transforms[i] . b >= 0.  Otherwise every set of len(pivots) - 1
-    columns is tried, with the checks appended as rows: where the null space
-    is one-dimensional it spans a normal a in the span of the cone, kept
-    (with its sign) when every column lies on one side of it.  Exhaustive,
-    like enumerate_vertices.
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): the
+    pivot columns span a simplicial cone, cut out by u[pivots[i]] >= 0,
+    that is transforms[i] . b >= 0.  Each free column g is then added in
+    turn.  A facet with a . g < 0 goes, and each pair of adjacent facets
+    a+, a- with a+ . g > 0 > a- . g gives the facet through their ridge and
+    g.  Two facets are adjacent when no third one is tight on every column
+    that both are tight on.  The work grows with the number of facets met,
+    not with the subsets of columns.
     """
     nb = len(fiber.pair.B)
-    m = nb + len(fiber.pair.C)
     columns = [[1 if idx == bi else 0 for idx in range(nb)] + [g[i - 1] for i in fiber.pair.C]
                for bi, (_, g) in zip(fiber.budget_index, fiber.gens)]
-    normals = [] if fiber.free else list(fiber.transforms)
-    bases = combinations(columns, len(fiber.pivots) - 1) if fiber.free else ()
-    for cols in bases:
-        mat = [list(col) for col in cols] + [list(check) for check in fiber.checks]
-        pivot_of = _eliminate(mat, range(m))
-        if len(pivot_of) < m - 1:
-            continue
-        (c0,) = set(range(m)) - set(pivot_of.values())
-        scale = math.lcm(*(mat[r][c] for r, c in pivot_of.items()))
-        a = [0] * m
-        a[c0] = scale
-        for r, c in pivot_of.items():
-            a[c] = -mat[r][c0] * scale // mat[r][c]
-        sides = {_dot(a, col) > 0 for col in columns if _dot(a, col)}
-        if len(sides) == 1:
-            normals.append(a if sides == {True} else [-x for x in a])
-    out = set()
-    for a in normals:
+    facets = []  # (normal, the added columns it is tight on)
+    for p, a in zip(fiber.pivots, fiber.transforms):
         content = math.gcd(*a)
-        out.add(tuple(x // content for x in a))
-    return tuple(sorted(out))
+        facets.append(([x // content for x in a], frozenset(fiber.pivots) - {p}))
+    for f in fiber.free:
+        sides = [_dot(a, columns[f]) for a, _ in facets]
+        new = [(a, tight | {f} if s == 0 else tight) for (a, tight), s in zip(facets, sides) if s >= 0]
+        plus = [i for i, s in enumerate(sides) if s > 0]
+        minus = [i for i, s in enumerate(sides) if s < 0]
+        for i, j in product(plus, minus):
+            (a1, z1), (a2, z2) = facets[i], facets[j]
+            ridge = z1 & z2
+            if (len(ridge) < len(fiber.pivots) - 2
+                    or any(ridge <= z for h, (_, z) in enumerate(facets) if h not in (i, j))):
+                continue
+            a = [sides[i] * y - sides[j] * x for x, y in zip(a1, a2)]
+            content = math.gcd(*a)
+            new.append(([x // content for x in a], ridge | {f}))
+        facets = new
+    return tuple(sorted(tuple(a) for a, _ in facets))
 
 
 def fiber_sum(fiber: FiberReduction, t: Sequence[int], v: Sequence[int],

@@ -73,14 +73,13 @@ class MinimalData:
     def zmin(self) -> Mapping[SubsetPair, tuple[LatticePair, ...]]:
         """The minimal lattice pairs of every pair of K: its layer at the
         weight K holds."""
-        return MappingProxyType({
-            pair: tuple(_layer(self.reductions[pair], cone_facets(self.reductions[pair]), w))
-            for pair, w in self.K})
+        return MappingProxyType({pair: tuple(_layer(*_cone(self.system, pair), w))
+                                 for pair, w in self.K})
 
     @cached_property
     def reductions(self) -> Mapping[SubsetPair, FiberReduction]:
         """The row-reduced fiber equations of every pair of K."""
-        return MappingProxyType({pair: fiber_reduction(self.system, pair) for pair, _ in self.K})
+        return MappingProxyType({pair: _cone(self.system, pair)[0] for pair, _ in self.K})
 
     @cached_property
     def vertices(self) -> Mapping[LatticePair, tuple[tuple[Point, ...], int]]:
@@ -105,15 +104,21 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+# the cone of every pair scanned so far, per live system
+_CONES: weakref.WeakKeyDictionary[SupportSystem, dict] = weakref.WeakKeyDictionary()
+
+
 def _cone(system: SupportSystem, pair: SubsetPair):
     """The fiber equations of pair and the facets of their cone, or None when
     w_Z(B,C) is infinite: some polynomial of B has no monomial inside C, or
-    some coordinate of C appears in none."""
-    fiber = fiber_reduction(system, pair)
-    if (len(set(fiber.budget_index)) < len(pair.B)
-            or not all(any(g[i - 1] for _, g in fiber.gens) for i in pair.C)):
-        return None
-    return fiber, cone_facets(fiber)
+    some coordinate of C appears in none.  Built once per system and pair."""
+    cones = _CONES.setdefault(system, {})
+    if pair not in cones:
+        fiber = fiber_reduction(system, pair)
+        finite = (len(set(fiber.budget_index)) == len(pair.B)
+                  and all(any(g[i - 1] for _, g in fiber.gens) for i in pair.C))
+        cones[pair] = (fiber, cone_facets(fiber)) if finite else None
+    return cones[pair]
 
 
 def _feasible_targets(fiber: FiberReduction, facets: Sequence[tuple[int, ...]],
@@ -184,12 +189,12 @@ def weight_wz(system: SupportSystem, pair: SubsetPair,
     is exhaustive.  A smaller cap restricts the scan; the infinite return then
     only certifies w_Z > cap.
     """
-    cone = _cone(system, pair)
-    if cone is None:
-        return INFINITE_WEIGHT
     bound = len(pair.B) + len(pair.C)
     if cap is not None:
         bound = min(bound, cap)
+    cone = _cone(system, pair) if bound >= len(pair.B) else None
+    if cone is None:
+        return INFINITE_WEIGHT
     for total in range(len(pair.B), bound + 1):
         for t in _compositions(total, len(pair.B)):
             if next(_feasible_targets(*cone, t), None) is not None:
@@ -247,15 +252,13 @@ def weight_polytope(system: SupportSystem) -> int:
     hit is the minimum.  Budgets beyond n + r are never needed when every
     variable is covered, and coverage failure means the weight is infinite.
     """
-    if system.covered_variables() != frozenset(range(1, system.n + 1)):
+    cone = _cone(system, SubsetPair(tuple(range(1, system.r + 1)), tuple(range(1, system.n + 1))))
+    if cone is None:
         raise WeightUnreachableError("some variable appears in no monomial")
-    full = SubsetPair(tuple(range(1, system.r + 1)), tuple(range(1, system.n + 1)))
-    fiber = fiber_reduction(system, full)
-    facets = cone_facets(fiber)
     vertices = delta_vertices(system)
     for total in range(system.r, system.n + system.r + 1):
         for t in _compositions(total, system.r):
-            v = next(_feasible_targets(fiber, facets, t), None)
+            v = next(_feasible_targets(*cone, t), None)
             if v is None:
                 continue
             # independent route: the dilation of the witness must equal |t|
@@ -293,10 +296,7 @@ def minimal_data(system: SupportSystem) -> MinimalData:
     for pair in enumerate_subset_pairs(n, r):
         if n - len(pair.C) > mu_hat:
             continue
-        cap = mu_hat + len(pair.B) + len(pair.C) - n
-        if cap < len(pair.B):
-            continue
-        w = weight_wz(system, pair, cap=cap)
+        w = weight_wz(system, pair, cap=mu_hat + len(pair.B) + len(pair.C) - n)
         if w == INFINITE_WEIGHT:
             continue
         weights[pair] = int(w)

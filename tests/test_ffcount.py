@@ -269,15 +269,26 @@ def test_count_report(ex2_variety):
     assert report.meets_bound
 
 
-@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
-def test_import_sets_a_default_blas_thread_count(preset, want):
-    # numpy's OpenBLAS spins an idle worker unless told to run single-threaded;
-    # a value set by the user wins
+def _python(code, **env_vars):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    out = subprocess.run([sys.executable, "-c",
-                          "import os, axdiv; print(os.environ['OPENBLAS_NUM_THREADS'])"],
-                         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == want
+    env.update(env_vars, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.split()
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_leaves_the_blas_thread_setting_as_it_was(preset):
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    code = "import os, axdiv; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _python(code, **env) == [str(preset)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_import_runs_blas_single_threaded():
+    # numpy's OpenBLAS would start an idle worker per core; axdiv loads it as
+    # a single-threaded numpy does
+    threads = "print(len(os.listdir('/proc/self/task')))"
+    got = _python(f"import os, axdiv; {threads}")
+    want = _python(f"import os, numpy; {threads}", OPENBLAS_NUM_THREADS="1")
+    assert got == want

@@ -3,10 +3,9 @@ the vertices of the fiber polytope."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from helpers import _rref, fraction_vertices, naive_fiber_points, naive_g
@@ -17,7 +16,6 @@ from axdiv import (
     InfeasibleError,
     SparsePolynomialModP,
     UnboundedError,
-    cone_facets,
     enumerate_subset_pairs,
     enumerate_vertices,
     fiber_reduction,
@@ -33,6 +31,7 @@ from axdiv import (
     support_system,
     zero_polynomial,
 )
+from axdiv.geometry import cone_facets
 
 
 def test_lp_minimize_exact_rational_optimum():
@@ -358,3 +357,15 @@ def test_cone_facets_on_corpus(seed):
                           and all(sum(x * y for x, y in zip(a, b)) >= 0 for a in facets))
                 assert inside == lp_feasible(rational_lp(equations, b)).feasible
     assert nonsimplicial > 0
+
+
+def test_cone_facets_of_a_dense_support():
+    # the full quartic in 5 variables: 126 generators (1, g) with |g| <= 4,
+    # whose cone is cut out by v_i >= 0 and 4t - |v| >= 0
+    n, d = 5, 4
+    support = [g for g in itertools.product(range(d + 1), repeat=n) if sum(g) <= d]
+    system = support_system(n, [support])
+    fiber = fiber_reduction(system, subset_pair([1], range(1, n + 1)))
+    assert len(fiber.gens) == 126
+    unit = [tuple(int(i == k) for i in range(n + 1)) for k in range(1, n + 1)]
+    assert cone_facets(fiber) == tuple(sorted(unit + [(d,) + (-1,) * n]))

@@ -35,6 +35,7 @@ from axdiv import (
     weight_wz,
     zmin_for_pair,
 )
+from axdiv.geometry import cone_facets
 
 
 def test_weight_wz_goldens(ex2_system):
@@ -260,6 +261,25 @@ def test_shared_analysis_is_read_only(ex2_system):
     with pytest.raises(TypeError):
         data.zmin[pair] = ()
     assert len(data.zmin[pair]) == 1
+
+
+def test_each_pair_cone_is_built_once_per_system(monkeypatch, fresh_analyses):
+    cones = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(axdiv.lattice, "_CONES", cones)
+    calls = count_calls(monkeypatch, cone_facets)
+    system = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
+    conditional_number(system)
+    for pair, w in minimal_data(system).K:
+        assert weight_wz(system, pair) == w
+        assert zmin_for_pair(system, pair) == list(minimal_data(system).zmin[pair])
+        lattice_window(system, pair, w + 1)
+    assert len(calls) == len({fiber.pair for (fiber,) in calls}) > 0
+    # a cap below |B| answers before any cone is built
+    assert weight_wz(system, subset_pair([1], [1]), cap=0) == INFINITE_WEIGHT
+    assert subset_pair([1], [1]) not in cones[system]
+    del system
+    gc.collect()
+    assert len(cones) == 0
 
 
 def test_analysis_lives_as_long_as_its_system(fresh_analyses):
