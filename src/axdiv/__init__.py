@@ -39,17 +39,11 @@ from .ffcount import (
     ord_q,
 )
 from .geometry import (
-    Feasibility,
     FiberReduction,
-    InfeasibleError,
-    UnboundedError,
     enumerate_vertices,
+    fiber_point,
     fiber_reduction,
     fiber_sum,
-    lp_feasible,
-    lp_minimize,
-    minimal_dilation,
-    rational_lp,
 )
 from .hasse import (
     HomogeneityReport,

@@ -293,14 +293,14 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "prime", None) is not None and not _is_prime(args.prime):
             raise InputError(f"p = {args.prime} is not a prime")
         return args.func(args)
-    except (NonIntegralError, GammaError, ConsistencyError,
-            WeightUnreachableError) as exc:
+    except (NonIntegralError, GammaError, ConsistencyError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (InputError, SpecError, CountGuardError, OSError, ValueError,
-            ZeroDivisionError) as exc:
+    except (InputError, SpecError, CountGuardError, WeightUnreachableError, OSError,
+            ValueError, ZeroDivisionError) as exc:
         # ValueError from the library means the request was out of scope
-        # (constant terms, oversized a, ...), which is an input problem here.
+        # (constant terms, oversized a, ...), and an uncovered variable gives
+        # no weight at all: both are input problems here.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

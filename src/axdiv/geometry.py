@@ -1,14 +1,12 @@
-"""Exact linear programming over the rationals, and the fiber kernel.
+"""The fiber kernel: exact integer questions about the fibers of a subset pair.
 
-The simplex here is deliberately small: equality-form problems in nonnegative
-variables, Bland's rule for guaranteed termination, Fraction arithmetic
-throughout.  Nothing in this module touches floating point, so feasibility
-verdicts come with exact witnesses and infeasibility with Farkas certificates.
 Every fiber question goes through one integer row reduction per subset pair
-(fiber_reduction): fiber_sum computes every sum G over the integral points of
-a fiber, in integer arithmetic only, enumerate_vertices reads off the
-vertices of the real fiber, and cone_facets the integer facets of the cone of
-right-hand sides whose fiber is nonempty.
+(fiber_reduction), and nothing in this module touches floating point.
+fiber_sum computes every sum G over the integral points of a fiber;
+cone_facets gives the integer facets of the cone of right-hand sides whose
+fiber is nonempty, and enumerate_vertices the vertices of one real fiber,
+both by one double description loop; fiber_point finds one real point of a
+fiber by a fraction-free phase one.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import islice, product
 from typing import Iterable, Sequence
 
 from .model import (
@@ -27,201 +25,6 @@ from .model import (
 )
 
 Point = tuple[Fraction, ...]
-
-
-class InfeasibleError(Exception):
-    """LP that was required to be feasible is not; carries the certificate."""
-
-    def __init__(self, certificate: Point | None = None):
-        super().__init__("infeasible linear program")
-        self.certificate = certificate
-
-
-class UnboundedError(Exception):
-    """Minimization objective unbounded below on the feasible region."""
-
-
-@dataclass(frozen=True)
-class RationalLP:
-    """min objective . x  subject to  rows . x = rhs  and  x >= 0.
-
-    objective may be None for pure feasibility questions.
-    """
-
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-    objective: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != len(self.rhs):
-            raise ValueError("rows and rhs length mismatch")
-        widths = {len(row) for row in self.rows}
-        if self.objective is not None:
-            widths.add(len(self.objective))
-        if len(widths) > 1:
-            raise ValueError("ragged constraint matrix")
-
-
-@dataclass(frozen=True)
-class Feasibility:
-    feasible: bool
-    witness: Point | None = None
-    # Farkas vector y with y.rows <= 0 componentwise and y.rhs > 0.
-    certificate: Point | None = None
-
-
-def rational_lp(rows: Iterable[Iterable], rhs: Iterable,
-                objective: Iterable | None = None) -> RationalLP:
-    frows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    frhs = tuple(Fraction(x) for x in rhs)
-    fobj = None if objective is None else tuple(Fraction(x) for x in objective)
-    return RationalLP(frows, frhs, fobj)
-
-
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    prow = tableau[row]
-    for i, other in enumerate(tableau):
-        if i == row:
-            continue
-        factor = other[col]
-        if factor:
-            tableau[i] = [a - factor * b for a, b in zip(other, prow)]
-    basis[row] = col
-
-
-def _run_simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> None:
-    """Iterate Bland pivots until the cost row (last) has no negative entry."""
-    while True:
-        cost = tableau[-1]
-        enter = next((j for j in range(ncols) if cost[j] < 0), None)
-        if enter is None:
-            return
-        leave = None
-        best = None
-        for i in range(len(tableau) - 1):
-            coef = tableau[i][enter]
-            if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:
-            raise UnboundedError("no leaving row")
-        _pivot(tableau, basis, leave, enter)
-
-
-def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
-           objective: Sequence[Fraction] | None):
-    """Two-phase exact simplex.
-
-    Returns ("optimal", value, x, None) or ("infeasible", None, None, farkas).
-    Raises UnboundedError if the phase-2 objective has no finite minimum.
-    """
-    m = len(rows)
-    k = len(rows[0]) if m else (len(objective) if objective else 0)
-    if m == 0:
-        if objective and any(c < 0 for c in objective):
-            raise UnboundedError("no constraints")
-        zero = tuple(Fraction(0) for _ in range(k))
-        return "optimal", Fraction(0), zero, None
-
-    flips = [Fraction(-1) if b < 0 else Fraction(1) for b in rhs]
-    tableau = []
-    for i in range(m):
-        row = [flips[i] * x for x in rows[i]]
-        row += [Fraction(1) if t == i else Fraction(0) for t in range(m)]
-        row.append(flips[i] * rhs[i])
-        tableau.append(row)
-    basis = [k + i for i in range(m)]
-
-    # Phase 1 cost row: artificials cost 1, already basic, so eliminate them.
-    cost = [Fraction(0)] * (k + m + 1)
-    for row in tableau:
-        cost = [c - x for c, x in zip(cost, row)]
-    for j in range(k, k + m):
-        cost[j] += 1
-    tableau.append(cost)
-    _run_simplex(tableau, basis, k + m)
-
-    value = -tableau[-1][-1]
-    if value > 0:
-        # Farkas: y_i = 1 - reduced cost of artificial i, undoing row flips.
-        farkas = tuple(flips[i] * (1 - tableau[-1][k + i]) for i in range(m))
-        return "infeasible", None, None, farkas
-
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    keep = []
-    for i in range(m):
-        if basis[i] >= k:
-            col = next((j for j in range(k) if tableau[i][j] != 0), None)
-            if col is None:
-                continue  # redundant constraint
-            _pivot(tableau, basis, i, col)
-        keep.append(i)
-    tableau = [tableau[i][:k] + [tableau[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    if objective is not None:
-        cost = [Fraction(c) for c in objective] + [Fraction(0)]
-        for i, b in enumerate(basis):
-            factor = cost[b]
-            if factor:
-                cost = [c - factor * x for c, x in zip(cost, tableau[i])]
-        tableau.append(cost)
-        _run_simplex(tableau, basis, k)
-        tableau.pop()
-
-    x = [Fraction(0)] * k
-    for i, b in enumerate(basis):
-        x[b] = tableau[i][-1]
-    val = Fraction(0) if objective is None else sum(c * v for c, v in zip(objective, x))
-    return "optimal", val, tuple(x), None
-
-
-def lp_feasible(lp: RationalLP) -> Feasibility:
-    """Exact feasibility with witness or Farkas certificate."""
-    status, _, x, farkas = _solve(lp.rows, lp.rhs, None)
-    if status == "optimal":
-        return Feasibility(True, witness=x)
-    return Feasibility(False, certificate=farkas)
-
-
-def lp_minimize(lp: RationalLP) -> tuple[Fraction, Point]:
-    """Exact minimum of the objective; raises InfeasibleError or UnboundedError."""
-    if lp.objective is None:
-        raise ValueError("objective required")
-    status, value, x, farkas = _solve(lp.rows, lp.rhs, lp.objective)
-    if status == "infeasible":
-        raise InfeasibleError(farkas)
-    return value, x
-
-
-def minimal_dilation(vertices: Iterable[Iterable], y: Iterable) -> Fraction | None:
-    """Least rational c >= 0 with y in c * conv(vertices cup {0}), or None.
-
-    Since the hull contains the origin the dilations are nested, and the
-    minimum is  min sum(mu)  over  mu >= 0  with  sum mu_v * v = y.
-    """
-    vs = [tuple(Fraction(x) for x in v) for v in vertices]
-    if not vs:
-        raise ValueError("empty vertex set")
-    ty = tuple(Fraction(x) for x in y)
-    dim = len(ty)
-    if any(len(v) != dim for v in vs):
-        raise ValueError("vertex dimension mismatch")
-    vs = [v for v in vs if any(x != 0 for x in v)]
-    if all(x == 0 for x in ty):
-        return Fraction(0)
-    if not vs:
-        return None
-    rows = tuple(tuple(v[i] for v in vs) for i in range(dim))
-    lp = RationalLP(rows, ty, tuple(Fraction(1) for _ in vs))
-    try:
-        value, _ = lp_minimize(lp)
-    except InfeasibleError:
-        return None
-    return value
 
 
 @dataclass(frozen=True)
@@ -254,32 +57,35 @@ class FiberReduction:
     closes: tuple[int, ...]
 
 
+def _pivot(rows: list[list[int]], sel: int, col: int) -> None:
+    """Make rows[sel][col] positive and clear column col from every other
+    row, in place: each is replaced by an integer combination with rows[sel]
+    that keeps its own sign, divided by the gcd of its entries, which keeps
+    the numbers small."""
+    if rows[sel][col] < 0:
+        rows[sel] = [-x for x in rows[sel]]
+    prow = rows[sel]
+    piv = prow[col]
+    for r, other in enumerate(rows):
+        factor = other[col]
+        if r != sel and factor:
+            row = [piv * x - factor * y for x, y in zip(other, prow)]
+            content = math.gcd(*row) or 1  # dependent rows reduce to zero
+            rows[r] = [x // content for x in row]
+
+
 def _eliminate(rows: list[list[int]], columns: Iterable[int]) -> dict[int, int]:
     """Fraction-free Gauss-Jordan elimination of the integer rows, in the
     manner of Bareiss (1968), in place, pivoting on the given columns in
-    order; returns the pivot column of each pivot row.
-
-    A pivot is the entry of least absolute value among the rows not yet
-    pivoted, made positive; every other row is cleared in its column by an
-    integer combination and divided by the gcd of its entries, which keeps
-    the numbers small.
-    """
+    order; returns the pivot column of each pivot row.  A pivot is the
+    entry of least absolute value among the rows not yet pivoted."""
     pivot_of: dict[int, int] = {}
     for col in columns:
         candidates = [r for r in range(len(rows)) if r not in pivot_of and rows[r][col]]
         if not candidates:
             continue
         sel = min(candidates, key=lambda r: abs(rows[r][col]))
-        if rows[sel][col] < 0:
-            rows[sel] = [-x for x in rows[sel]]
-        prow = rows[sel]
-        piv = prow[col]
-        for r, other in enumerate(rows):
-            factor = other[col]
-            if r != sel and factor:
-                row = [piv * x - factor * y for x, y in zip(other, prow)]
-                content = math.gcd(*row) or 1  # dependent rows reduce to zero
-                rows[r] = [x // content for x in row]
+        _pivot(rows, sel, col)
         pivot_of[sel] = col
     return pivot_of
 
@@ -321,6 +127,44 @@ def _dot(xs: Sequence[int], ys: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(xs, ys))
 
 
+def _double_description(rays: list[tuple[list[int], int]],
+                         constraints: Iterable[tuple[int, Sequence[int]]]) -> list[list[int]]:
+    """The extreme rays, primitive integer vectors, of the cone cut out of a
+    simplicial cone by h . y >= 0 for each (key, h) of constraints.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): rays
+    starts as the d rays of the simplicial cone, each with the keys of the
+    d - 1 of its facets that it lies on, as the bits of one integer.  Each
+    constraint is then added in turn.  A ray with h . y < 0 goes, and each
+    pair of adjacent rays y+, y- with h . y+ > 0 > h . y- gives the ray on
+    their 2-face with h . y = 0.  Two rays are adjacent when they share at
+    least d - 2 keys and no third ray is tight on every key that both are
+    tight on.  The work grows with the number of rays met, not with the
+    subsets of constraints.
+    """
+    dim = len(rays)
+    for key, h in constraints:
+        bit = 1 << key
+        sides = [_dot(y, h) for y, _ in rays]
+        new = [(y, tight | bit if s == 0 else tight) for (y, tight), s in zip(rays, sides) if s >= 0]
+        plus = [i for i, s in enumerate(sides) if s > 0]
+        minus = [i for i, s in enumerate(sides) if s < 0]
+        masks = [tight for _, tight in rays]
+        for i, j in product(plus, minus):
+            (y1, z1), (y2, z2) = rays[i], rays[j]
+            ridge = z1 & z2
+            # rays i and j are two of the rays tight on the ridge; a third one
+            # means they are not adjacent
+            if (ridge.bit_count() < dim - 2
+                    or next(islice((z for z in masks if z & ridge == ridge), 2, None), None) is not None):
+                continue
+            y = [sides[i] * b - sides[j] * a for a, b in zip(y1, y2)]
+            content = math.gcd(*y)
+            new.append(([x // content for x in y], ridge | bit))
+        rays = new
+    return [y for y, _ in rays]
+
+
 def cone_facets(fiber: FiberReduction) -> tuple[tuple[int, ...], ...]:
     """The primitive integer normals a of the facets of the cone spanned by
     the generator columns (e_j, g restricted to C) of the fiber equations,
@@ -329,38 +173,21 @@ def cone_facets(fiber: FiberReduction) -> tuple[tuple[int, ...], ...]:
     a . b >= 0 for every normal.  A normal is only fixed up to adding
     checks, which vanish on the cone.
 
-    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): the
-    pivot columns span a simplicial cone, cut out by u[pivots[i]] >= 0,
-    that is transforms[i] . b >= 0.  Each free column g is then added in
-    turn.  A facet with a . g < 0 goes, and each pair of adjacent facets
-    a+, a- with a+ . g > 0 > a- . g gives the facet through their ridge and
-    g.  Two facets are adjacent when no third one is tight on every column
-    that both are tight on.  The work grows with the number of facets met,
-    not with the subsets of columns.
+    The normals are the extreme rays of the dual cone, found by double
+    description: the pivot columns span a simplicial cone, cut out by
+    u[pivots[i]] >= 0, that is transforms[i] . b >= 0, and each free column
+    g adds the constraint a . g >= 0.  A normal is keyed by the columns it
+    is tight on.
     """
-    nb = len(fiber.pair.B)
-    columns = [[1 if idx == bi else 0 for idx in range(nb)] + [g[i - 1] for i in fiber.pair.C]
-               for bi, (_, g) in zip(fiber.budget_index, fiber.gens)]
-    facets = []  # (normal, the added columns it is tight on)
+    tight = sum(1 << p for p in fiber.pivots)
+    start = []
     for p, a in zip(fiber.pivots, fiber.transforms):
         content = math.gcd(*a)
-        facets.append(([x // content for x in a], frozenset(fiber.pivots) - {p}))
-    for f in fiber.free:
-        sides = [_dot(a, columns[f]) for a, _ in facets]
-        new = [(a, tight | {f} if s == 0 else tight) for (a, tight), s in zip(facets, sides) if s >= 0]
-        plus = [i for i, s in enumerate(sides) if s > 0]
-        minus = [i for i, s in enumerate(sides) if s < 0]
-        for i, j in product(plus, minus):
-            (a1, z1), (a2, z2) = facets[i], facets[j]
-            ridge = z1 & z2
-            if (len(ridge) < len(fiber.pivots) - 2
-                    or any(ridge <= z for h, (_, z) in enumerate(facets) if h not in (i, j))):
-                continue
-            a = [sides[i] * y - sides[j] * x for x, y in zip(a1, a2)]
-            content = math.gcd(*a)
-            new.append(([x // content for x in a], ridge | {f}))
-        facets = new
-    return tuple(sorted(tuple(a) for a, _ in facets))
+        start.append(([x // content for x in a], tight ^ 1 << p))
+    nb = len(fiber.pair.B)
+    columns = [(f, [int(idx == fiber.budget_index[f]) for idx in range(nb)]
+                + [fiber.gens[f][1][i - 1] for i in fiber.pair.C]) for f in fiber.free]
+    return tuple(sorted(tuple(a) for a in _double_description(start, columns)))
 
 
 def fiber_sum(fiber: FiberReduction, t: Sequence[int], v: Sequence[int],
@@ -457,17 +284,75 @@ def fiber_sum(fiber: FiberReduction, t: Sequence[int], v: Sequence[int],
     return dp.get((), zero)
 
 
+def fiber_point(fiber: FiberReduction, t: Sequence[int], v: Sequence[int]) -> Point | None:
+    """One real point u >= 0 of the fiber at (t, v), or None when the fiber
+    is empty.
+
+    Phase one of the simplex with Bland's rule, fraction-free on the pivot
+    rows: the pivot of each row with a right-hand side >= 0 starts basic,
+    and each row with a negative one is negated and gets an artificial
+    column of its own, basic at the start.  The least sum of the artificials
+    is 0 exactly when the fiber is nonempty; the basic columns then read off
+    a point.
+    """
+    b = tuple(t) + tuple(v[i - 1] for i in fiber.pair.C)
+    if any(_dot(check, b) for check in fiber.checks):
+        return None
+    k = len(fiber.gens)
+    rhs = [_dot(T, b) for T in fiber.transforms]
+    negative = [i for i, c in enumerate(rhs) if c < 0]
+    width = k + len(negative)
+    tableau = []
+    for i, c in enumerate(rhs):
+        row = [0] * width + [c]
+        row[fiber.pivots[i]] = fiber.denominators[i]
+        for col, a in zip(fiber.free, fiber.rows[i]):
+            row[col] = a
+        tableau.append(row)
+    basis = list(fiber.pivots)
+    for a, i in enumerate(negative):
+        tableau[i] = [-x for x in tableau[i]]
+        tableau[i][k + a] = 1
+        basis[i] = k + a
+    # the cost row: the sum of the artificials, with the basic ones eliminated
+    cost = [-sum(tableau[i][c] for i in negative) for c in range(width + 1)]
+    cost[k:width] = [0] * len(negative)
+    tableau.append(cost)
+    while True:
+        enter = next((c for c in range(width) if tableau[-1][c] < 0), None)
+        if enter is None:
+            break
+        # the least ratio row[-1] / row[enter] over row[enter] > 0, ties
+        # going to the least basic column
+        leave = None
+        for i, row in enumerate(tableau[:-1]):
+            if row[enter] > 0 and (leave is None or (row[-1] * tableau[leave][enter], basis[i])
+                                   < (tableau[leave][-1] * row[enter], basis[leave])):
+                leave = i
+        _pivot(tableau, leave, enter)
+        basis[leave] = enter
+    if tableau[-1][-1]:
+        return None  # the artificials cannot all reach 0
+    u = [Fraction(0)] * k
+    for row, col in zip(tableau, basis):
+        if col < k:
+            u[col] = Fraction(row[-1], row[col])
+    return tuple(u)
+
+
 def enumerate_vertices(fiber: FiberReduction, t: Sequence[int],
                        v: Sequence[int]) -> tuple[list[Point], int]:
     """All vertices of the fiber polytope at (t, v), the real u >= 0 solving
     the fiber equations, in lex order, plus its affine dimension; ([], -1)
     for an empty fiber.
 
-    Every set of len(fiber.pivots) generators is tried as a basis: the
-    reduced rows of the fiber, eliminated on those columns, either leave a
-    row without pivot (a singular set) or give the basic solution, a vertex
-    when it is nonnegative.  Exhaustive, which is fine at desk scale where
-    fibers have at most a dozen variables.
+    In the free variables x the fiber is x >= 0 with transforms[i] . b -
+    rows[i] . x >= 0, the sign of each pivot.  Its vertices are the extreme
+    rays (x, s) with s > 0 of the cone over it, found by double description:
+    start from the orthant (x, s) >= 0 and add
+    s * (transforms[i] . b) - rows[i] . x >= 0 for each pivot row.  The
+    keys are the generators, a ray being tight on those whose u vanishes on
+    it, and one more for s.
     """
     t = tuple(int(x) for x in t)
     v = tuple(int(x) for x in v)
@@ -482,29 +367,23 @@ def enumerate_vertices(fiber: FiberReduction, t: Sequence[int],
     if any(x < 0 for x in b) or any(_dot(check, b) for check in fiber.checks):
         return [], -1
     k = len(fiber.gens)
-    # pivot row i with its right-hand side, over all k generators
-    reduced = []
-    for i, T in enumerate(fiber.transforms):
-        row = [0] * k + [_dot(T, b)]
-        row[fiber.pivots[i]] = fiber.denominators[i]
-        for s, col in enumerate(fiber.free):
-            row[col] = fiber.rows[i][s]
-        reduced.append(row)
-    found: set[Point] = set()
-    for cols in combinations(range(k), len(reduced)):
-        mat = [[row[c] for c in cols] + [row[-1]] for row in reduced]
-        pivot_of = _eliminate(mat, range(len(cols)))
-        if len(pivot_of) < len(cols):
-            continue  # singular basis
-        u = [Fraction(0)] * k
-        for r, s in pivot_of.items():
-            u[cols[s]] = Fraction(mat[r][-1], mat[r][s])
-        if all(x >= 0 for x in u):
-            found.add(tuple(u))
-    vertices = sorted(found)
-    if not vertices:
+    keys = fiber.free + (k,)
+    tight = sum(1 << key for key in keys)
+    start = [([int(p == q) for q in range(len(keys))], tight ^ 1 << key)
+             for p, key in enumerate(keys)]
+    cuts = [(col, [-a for a in row] + [_dot(T, b)])
+            for col, row, T in zip(fiber.pivots, fiber.rows, fiber.transforms)]
+    rays = [y for y in _double_description(start, cuts) if y[-1] > 0]
+    if not rays:
         return [], -1
-    # the affine dimension is the rank of the vertex differences, in integers
-    scale = math.lcm(*(x.denominator for u in vertices for x in u))
-    diffs = [[int((x - y) * scale) for x, y in zip(u, vertices[0])] for u in vertices[1:]]
-    return vertices, len(_eliminate(diffs, range(k)))
+    vertices = []
+    for y in rays:
+        u = [Fraction(0)] * k
+        for col, x in zip(fiber.free, y):
+            u[col] = Fraction(x, y[-1])
+        for (col, h), d in zip(cuts, fiber.denominators):
+            u[col] = Fraction(_dot(h, y), d * y[-1])
+        vertices.append(tuple(u))
+    # the pivots are affine in x, so the affine dimension of the vertices is
+    # that of the points x / s: the rank of the rays, less one
+    return sorted(vertices), len(_eliminate(rays, range(len(keys)))) - 1

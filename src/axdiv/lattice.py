@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
@@ -22,8 +21,8 @@ from .geometry import (
     Point,
     cone_facets,
     enumerate_vertices,
+    fiber_point,
     fiber_reduction,
-    minimal_dilation,
 )
 from .model import (
     ExponentVector,
@@ -232,43 +231,38 @@ def lattice_window(system: SupportSystem, pair: SubsetPair, L: int) -> list[Latt
     return [lp for total in range(len(pair.B), L + 1) for lp in _layer(*cone, total)]
 
 
-def delta_vertices(system: SupportSystem) -> list[tuple[Fraction, ...]]:
-    """Vertex generators (g, e_j) of the Newton polytope in R^{n+r}, plus the origin."""
-    points = []
-    for j, gs in enumerate(system.supports, start=1):
-        for g in gs:
-            tail = tuple(Fraction(1 if jj == j else 0) for jj in range(1, system.r + 1))
-            points.append(tuple(Fraction(e) for e in g) + tail)
-    points.append(tuple(Fraction(0) for _ in range(system.n + system.r)))
-    return points
-
-
 def weight_polytope(system: SupportSystem) -> int:
     """w(f) via minimal dilations: the least c with an all-positive integral
     point in c times the Newton polytope.
 
     Candidates are scanned in increasing budget total |t|; any all-positive
     integral point of the |t|-fold sum has dilation exactly |t|, so the first
-    hit is the minimum.  Budgets beyond n + r are never needed when every
-    variable is covered, and coverage failure means the weight is infinite.
+    hit is the minimum.  When every variable is covered, one covering
+    monomial per coordinate plus one filler per polynomial is a hit within
+    n + r; coverage failure means the weight is infinite.  The hit is
+    checked on an independent route: fiber_point must find a real point u
+    of its fiber, and u must solve the equations of the supports themselves.
     """
     cone = _cone(system, SubsetPair(tuple(range(1, system.r + 1)), tuple(range(1, system.n + 1))))
     if cone is None:
         raise WeightUnreachableError("some variable appears in no monomial")
-    vertices = delta_vertices(system)
+    gens = [(j, g) for j, gs in enumerate(system.supports, start=1) for g in gs]
     for total in range(system.r, system.n + system.r + 1):
         for t in _compositions(total, system.r):
             v = next(_feasible_targets(*cone, t), None)
             if v is None:
                 continue
-            # independent route: the dilation of the witness must equal |t|
-            y = tuple(Fraction(x) for x in v + t)
-            c = minimal_dilation(vertices, y)
-            if c != total:
-                raise ConsistencyError(
-                    f"dilation {c} of witness {y} differs from budget total {total}")
+            u = fiber_point(cone[0], t, v)
+            budgets = [0] * system.r
+            point = [0] * system.n
+            for (j, g), x in zip(gens, u or ()):
+                budgets[j - 1] += x
+                point = [y + x * e for y, e in zip(point, g)]
+            if (u is None or len(u) != len(gens) or any(x < 0 for x in u)
+                    or tuple(budgets) != t or tuple(point) != v):
+                raise ConsistencyError(f"witness t={t}, v={v} has no point in its fiber: {u}")
             return total
-    raise WeightUnreachableError("no positive integral point in any dilation")
+    raise ConsistencyError("no positive integral point in any dilation up to n + r")
 
 
 # one analysis per live system; an entry goes when its system is collected

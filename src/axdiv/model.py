@@ -12,7 +12,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping
 
 ExponentVector = tuple[int, ...]
@@ -156,8 +155,9 @@ def enumerate_subset_pairs(n: int, r: int) -> list[SubsetPair]:
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
     def parts(m: int) -> list[tuple[int, ...]]:
-        idx = range(1, m + 1)
-        return [c for size in range(1, m + 1) for c in combinations(idx, size)]
+        subsets = (tuple(i for i in range(1, m + 1) if mask >> (i - 1) & 1)
+                   for mask in range(1, 1 << m))
+        return sorted(subsets, key=lambda c: (len(c), c))
     return [SubsetPair(B, C) for B in parts(r) for C in parts(n)]
 
 

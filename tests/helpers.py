@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Iterable, Sequence
 
 import axdiv.dwork
 from axdiv import (
@@ -21,9 +23,7 @@ from axdiv import (
     artin_hasse_coefficients,
     build_field,
     from_int,
-    lp_feasible,
     minimal_data,
-    rational_lp,
     restrict_support,
 )
 
@@ -324,6 +324,180 @@ def fraction_vertices(system: SupportSystem, pair: SubsetPair, t, v):
             found.add(tuple(u))
     vertices = sorted(found)
     return vertices, _affine_dimension(vertices)
+
+
+# -- the exact Fraction simplex, the general LP the integer fiber kernel
+# replaced: the oracle of the facet, fiber point and lattice scan tests
+
+Point = tuple[Fraction, ...]
+
+
+class InfeasibleError(Exception):
+    """LP that was required to be feasible is not; carries the certificate."""
+
+    def __init__(self, certificate: Point | None = None):
+        super().__init__("infeasible linear program")
+        self.certificate = certificate
+
+
+class UnboundedError(Exception):
+    """Minimization objective unbounded below on the feasible region."""
+
+
+@dataclass(frozen=True)
+class RationalLP:
+    """min objective . x  subject to  rows . x = rhs  and  x >= 0.
+
+    objective may be None for pure feasibility questions.
+    """
+
+    rows: tuple[tuple[Fraction, ...], ...]
+    rhs: tuple[Fraction, ...]
+    objective: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.rows) != len(self.rhs):
+            raise ValueError("rows and rhs length mismatch")
+        widths = {len(row) for row in self.rows}
+        if self.objective is not None:
+            widths.add(len(self.objective))
+        if len(widths) > 1:
+            raise ValueError("ragged constraint matrix")
+
+
+@dataclass(frozen=True)
+class Feasibility:
+    feasible: bool
+    witness: Point | None = None
+    # Farkas vector y with y.rows <= 0 componentwise and y.rhs > 0.
+    certificate: Point | None = None
+
+
+def rational_lp(rows: Iterable[Iterable], rhs: Iterable,
+                objective: Iterable | None = None) -> RationalLP:
+    frows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    frhs = tuple(Fraction(x) for x in rhs)
+    fobj = None if objective is None else tuple(Fraction(x) for x in objective)
+    return RationalLP(frows, frhs, fobj)
+
+
+def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    piv = tableau[row][col]
+    tableau[row] = [x / piv for x in tableau[row]]
+    prow = tableau[row]
+    for i, other in enumerate(tableau):
+        if i == row:
+            continue
+        factor = other[col]
+        if factor:
+            tableau[i] = [a - factor * b for a, b in zip(other, prow)]
+    basis[row] = col
+
+
+def _run_simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> None:
+    """Iterate Bland pivots until the cost row (last) has no negative entry."""
+    while True:
+        cost = tableau[-1]
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
+        if enter is None:
+            return
+        leave = None
+        best = None
+        for i in range(len(tableau) - 1):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][-1] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            raise UnboundedError("no leaving row")
+        _pivot(tableau, basis, leave, enter)
+
+
+def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
+           objective: Sequence[Fraction] | None):
+    """Two-phase exact simplex.
+
+    Returns ("optimal", value, x, None) or ("infeasible", None, None, farkas).
+    Raises UnboundedError if the phase-2 objective has no finite minimum.
+    """
+    m = len(rows)
+    k = len(rows[0]) if m else (len(objective) if objective else 0)
+    if m == 0:
+        if objective and any(c < 0 for c in objective):
+            raise UnboundedError("no constraints")
+        zero = tuple(Fraction(0) for _ in range(k))
+        return "optimal", Fraction(0), zero, None
+
+    flips = [Fraction(-1) if b < 0 else Fraction(1) for b in rhs]
+    tableau = []
+    for i in range(m):
+        row = [flips[i] * x for x in rows[i]]
+        row += [Fraction(1) if t == i else Fraction(0) for t in range(m)]
+        row.append(flips[i] * rhs[i])
+        tableau.append(row)
+    basis = [k + i for i in range(m)]
+
+    # Phase 1 cost row: artificials cost 1, already basic, so eliminate them.
+    cost = [Fraction(0)] * (k + m + 1)
+    for row in tableau:
+        cost = [c - x for c, x in zip(cost, row)]
+    for j in range(k, k + m):
+        cost[j] += 1
+    tableau.append(cost)
+    _run_simplex(tableau, basis, k + m)
+
+    value = -tableau[-1][-1]
+    if value > 0:
+        # Farkas: y_i = 1 - reduced cost of artificial i, undoing row flips.
+        farkas = tuple(flips[i] * (1 - tableau[-1][k + i]) for i in range(m))
+        return "infeasible", None, None, farkas
+
+    # Drive leftover artificials out of the basis; drop redundant rows.
+    keep = []
+    for i in range(m):
+        if basis[i] >= k:
+            col = next((j for j in range(k) if tableau[i][j] != 0), None)
+            if col is None:
+                continue  # redundant constraint
+            _pivot(tableau, basis, i, col)
+        keep.append(i)
+    tableau = [tableau[i][:k] + [tableau[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    if objective is not None:
+        cost = [Fraction(c) for c in objective] + [Fraction(0)]
+        for i, b in enumerate(basis):
+            factor = cost[b]
+            if factor:
+                cost = [c - factor * x for c, x in zip(cost, tableau[i])]
+        tableau.append(cost)
+        _run_simplex(tableau, basis, k)
+        tableau.pop()
+
+    x = [Fraction(0)] * k
+    for i, b in enumerate(basis):
+        x[b] = tableau[i][-1]
+    val = Fraction(0) if objective is None else sum(c * v for c, v in zip(objective, x))
+    return "optimal", val, tuple(x), None
+
+
+def lp_feasible(lp: RationalLP) -> Feasibility:
+    """Exact feasibility with witness or Farkas certificate."""
+    status, _, x, farkas = _solve(lp.rows, lp.rhs, None)
+    if status == "optimal":
+        return Feasibility(True, witness=x)
+    return Feasibility(False, certificate=farkas)
+
+
+def lp_minimize(lp: RationalLP) -> tuple[Fraction, Point]:
+    """Exact minimum of the objective; raises InfeasibleError or UnboundedError."""
+    if lp.objective is None:
+        raise ValueError("objective required")
+    status, value, x, farkas = _solve(lp.rows, lp.rhs, lp.objective)
+    if status == "infeasible":
+        raise InfeasibleError(farkas)
+    return value, x
 
 
 # -- the lattice scan on the Fraction simplex, as it was before the facet test

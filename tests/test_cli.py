@@ -184,3 +184,16 @@ def test_constant_term_rejection_exits_2(tmp_path):
         "n": 1, "polynomials": [{"support": [[0], [1]], "coefficients": ["1", "1"]}],
     }), encoding="utf-8")
     assert main(["dwork", str(spec), "--prime", "3"]) == 2
+
+
+def test_uncovered_variable_exits_2(tmp_path, capsys):
+    # x3 appears in no monomial: the weight is infinite, which is bad input
+    spec = tmp_path / "uncovered.json"
+    spec.write_text(json.dumps({
+        "n": 3, "polynomials": [{"support": [[1, 1, 0], [2, 0, 0]], "coefficients": ["1", "1"]}],
+    }), encoding="utf-8")
+    for command in (["bounds"], ["conditional"], ["count", "--prime", "5"]):
+        assert main([command[0], str(spec)] + command[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: some variable appears in no monomial\n"

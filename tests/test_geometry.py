@@ -1,5 +1,6 @@
-"""Exact LP, minimal dilation, and the fiber kernel: integral point sums and
-the vertices of the fiber polytope."""
+"""The fiber kernel: integral point sums, one real point and the vertices of
+the fiber polytope, and the facets of the cone of feasible right-hand sides;
+and the exact Fraction simplex that serves as their oracle."""
 
 from __future__ import annotations
 
@@ -8,24 +9,29 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import _rref, fraction_vertices, naive_fiber_points, naive_g
+from helpers import (
+    InfeasibleError,
+    UnboundedError,
+    _rref,
+    fraction_vertices,
+    lp_feasible,
+    lp_minimize,
+    naive_fiber_points,
+    naive_g,
+    rational_lp,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axdiv import (
-    InfeasibleError,
     SparsePolynomialModP,
-    UnboundedError,
     enumerate_subset_pairs,
     enumerate_vertices,
+    fiber_point,
     fiber_reduction,
     fiber_sum,
     generate_corpus,
-    lp_feasible,
-    lp_minimize,
     minimal_data,
-    minimal_dilation,
-    rational_lp,
     restrict_support,
     subset_pair,
     support_system,
@@ -76,28 +82,6 @@ def test_farkas_certificate_separates():
     for col in range(2):
         assert sum(yi * lp.rows[i][col] for i, yi in enumerate(y)) <= 0
     assert sum(yi * b for yi, b in zip(y, lp.rhs)) > 0
-
-
-def test_minimal_dilation_goldens():
-    # Lifted support of the two-monomial cube example with the origin adjoined.
-    delta = [(3, 3, 0, 1), (0, 2, 2, 1)]
-    assert minimal_dilation(delta, (3, 5, 2, 2)) == 2
-    assert minimal_dilation([(1, 1)], (1, 1)) == 1
-    assert minimal_dilation([(2, 0)], (1, 1)) is None
-    assert minimal_dilation([(2, 0)], (0, 0)) == 0
-
-
-def test_minimal_dilation_scales_linearly():
-    delta = [(3, 3, 0, 1), (0, 2, 2, 1)]
-    base = minimal_dilation(delta, (3, 5, 2, 2))
-    for k in (2, 3, 5):
-        scaled = minimal_dilation(delta, tuple(k * x for x in (3, 5, 2, 2)))
-        assert scaled == k * base
-
-
-def test_minimal_dilation_rejects_empty():
-    with pytest.raises(ValueError):
-        minimal_dilation([], (1,))
 
 
 def point_count(system, pair, t, v):
@@ -325,13 +309,73 @@ def test_vertices_match_fraction_oracle(case):
     assert got == fraction_vertices(system, pair, t, v)
 
 
+def test_vertices_of_a_dense_fiber():
+    # the full cubic in 3 variables: 20 generators, whose level-1 fiber over
+    # (1, 1, 1) is 7-dimensional with 22 vertices, too many to check by hand
+    n, d = 3, 3
+    support = [g for g in itertools.product(range(d + 1), repeat=n) if sum(g) <= d]
+    system = support_system(n, [support])
+    pair = subset_pair([1], range(1, n + 1))
+    got = enumerate_vertices(fiber_reduction(system, pair), (1,), (1, 1, 1))
+    assert len(got[0]) == 22 and got[1] == 7
+    assert got == fraction_vertices(system, pair, (1,), (1, 1, 1))
+
+
+# -- one real point of a fiber, against the Fraction simplex
+
+
+def solves(fiber, u, t, v) -> bool:
+    """Whether u >= 0 solves the fiber equations at (t, v), read off the
+    generators themselves: per-polynomial sums t and sum of u_g * g = v."""
+    budgets = {j: 0 for j in fiber.pair.B}
+    point = [0] * fiber.n
+    for (j, g), x in zip(fiber.gens, u):
+        budgets[j] += x
+        point = [y + x * e for y, e in zip(point, g)]
+    return (len(u) == len(fiber.gens) and all(x >= 0 for x in u)
+            and [budgets[j] for j in fiber.pair.B] == list(t) and point == list(v))
+
+
+def fiber_lp(fiber, t, v):
+    """The fiber at (t, v) as a feasibility LP over the Fraction simplex."""
+    rows = [[1 if j == jj else 0 for jj, _ in fiber.gens] for j in fiber.pair.B]
+    rows += [[g[i - 1] for _, g in fiber.gens] for i in fiber.pair.C]
+    return rational_lp(rows, list(t) + [v[i - 1] for i in fiber.pair.C])
+
+
+def test_fiber_point_goldens(ex2_system, skew_system):
+    fiber = fiber_reduction(skew_system, subset_pair([1], [1, 2]))
+    assert fiber_point(fiber, (1,), (2, 2)) == (Fraction(1, 2), Fraction(1, 2))
+    assert fiber_point(fiber, (1,), (2, 3)) is None
+    fiber = fiber_reduction(ex2_system, subset_pair([1], [1, 2, 3]))
+    assert fiber_point(fiber, (2,), (3, 5, 2)) == (1, 1)
+    assert fiber_point(fiber, (-1,), (0, 0, 0)) is None
+    # x^2, xy, y^2 at (2, (1, 3)): the pivot rows read 3 and -1, so phase
+    # one starts from an artificial column
+    fiber = fiber_reduction(support_system(2, [[(2, 0), (1, 1), (0, 2)]]),
+                            subset_pair([1], [1, 2]))
+    assert fiber.gens == ((1, (0, 2)), (1, (1, 1)), (1, (2, 0)))
+    assert fiber_point(fiber, (2,), (1, 3)) == (1, 1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fiber_cases())
+def test_fiber_point_matches_the_simplex(case):
+    system, pair, t, v = case
+    fiber = fiber_reduction(system, pair)
+    u = fiber_point(fiber, t, v)
+    assert (u is not None) == lp_feasible(fiber_lp(fiber, t, v)).feasible
+    assert u is None or solves(fiber, u, t, v)
+
+
 # -- the facets of the cone of feasible right-hand sides
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cone_facets_on_corpus(seed):
     # each normal supports the cone along rank - 1 generators, and the
-    # facets with the checks decide membership as the fiber LP does
+    # facets with the checks decide membership as the fiber LP does, which
+    # is where fiber_point finds a point
     nonsimplicial = 0
     for spec in generate_corpus(seed, 10):
         system = spec.system
@@ -356,6 +400,13 @@ def test_cone_facets_on_corpus(seed):
                 inside = (all(sum(x * y for x, y in zip(c, b)) == 0 for c in fiber.checks)
                           and all(sum(x * y for x, y in zip(a, b)) >= 0 for a in facets))
                 assert inside == lp_feasible(rational_lp(equations, b)).feasible
+                t = b[:len(pair.B)]
+                v = [0] * system.n
+                for i, x in zip(pair.C, b[len(pair.B):]):
+                    v[i - 1] = x
+                u = fiber_point(fiber, t, v)
+                assert (u is not None) == inside
+                assert u is None or solves(fiber, u, t, v)
     assert nonsimplicial > 0
 
 

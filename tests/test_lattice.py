@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 import axdiv.lattice
 from axdiv import (
     INFINITE_WEIGHT,
+    ConsistencyError,
     LatticePair,
     WeightUnreachableError,
     bound_report,
     conditional_number,
     enumerate_subset_pairs,
     enumerate_vertices,
+    generate_corpus,
     lattice_window,
     minimal_data,
     psi_closure_check,
@@ -129,6 +131,31 @@ def test_scans_match_the_lp_scan(system):
         assert got == lp_lattice_window(system, pair, 2)
 
 
+@st.composite
+def covered_systems(draw):
+    """n <= 4, r <= 2, and x_i joins the first polynomial wherever no
+    monomial covers variable i, so that w(f) is finite."""
+    n = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, 3)] * n)
+    supports = [draw(st.lists(vector, min_size=1, max_size=4, unique=True))
+                for _ in range(draw(st.integers(1, 2)))]
+    for i in range(n):
+        if not any(g[i] for gs in supports for g in gs):
+            supports[0].append(tuple(int(k == i) for k in range(n)))
+    return support_system(n, supports)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=covered_systems())
+def test_two_routes_to_mu(system):
+    # the polytope route of minimal_data against the uncapped minimum of
+    # n - |B| - |C| + w_Z(B,C) over every subset pair
+    n = system.n
+    terms = [n - len(pair.B) - len(pair.C) + weight_wz(system, pair)
+             for pair in enumerate_subset_pairs(n, system.r)]
+    assert minimal_data(system).mu == min(terms)
+
+
 @pytest.mark.parametrize("degrees, mu", [
     ((2, 2, 3, 3, 3), 1),
     ((2, 3, 3, 4, 4), 1),
@@ -154,6 +181,26 @@ def test_weight_polytope_goldens(ex2_system, skew_system):
 def test_weight_polytope_uncovered_variable():
     with pytest.raises(WeightUnreachableError):
         weight_polytope(support_system(2, [[(1, 0)]]))
+
+
+@pytest.mark.parametrize("drop, caught", [(0, (1, 3)), (-1, (0, 4))])
+def test_weight_polytope_catches_a_dropped_facet(monkeypatch, drop, caught):
+    # without one facet of the full pair's cone the scan admits a target
+    # whose fiber is empty, and the independent route must say so
+    facets = axdiv.lattice.cone_facets
+
+    def dropped(fiber):
+        out = list(facets(fiber))
+        if out:
+            del out[drop]
+        return tuple(out)
+
+    monkeypatch.setattr(axdiv.lattice, "cone_facets", dropped)
+    systems = [spec.system for spec in generate_corpus(1, 10)]
+    for idx in caught:
+        monkeypatch.setattr(axdiv.lattice, "_CONES", weakref.WeakKeyDictionary())
+        with pytest.raises(ConsistencyError, match="has no point in its fiber"):
+            weight_polytope(systems[idx])
 
 
 def test_minimal_data_golden(ex2_system):
