@@ -27,7 +27,7 @@ from .dwork import (
     pi_element,
     teichmuller_lift,
     trace_formula_count,
-    truncated_matrix,
+    window_trace,
 )
 from .ffcount import (
     CountGuardError,
@@ -52,7 +52,6 @@ from .hasse import (
     artin_hasse_residues,
     artin_hasse_weights,
     checked_hasse_polynomial,
-    g_polynomial,
     hasse_blocks,
     hasse_polynomial,
     hasse_value,

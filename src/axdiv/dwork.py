@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import fiber_reduction, fiber_sum
-from .hasse import artin_hasse_residues, artin_hasse_weights, g_polynomial
+from .geometry import fiber_reduction
+from .hasse import _entry, _trace_power, _unit_residues, artin_hasse_residues, artin_hasse_weights
 from .lattice import lattice_window, weight_wz, zmin_for_pair
 from .model import (
     SubsetPair,
@@ -225,31 +225,15 @@ def teichmuller_lift(a: int, p: int, m: int) -> int:
     raise RuntimeError("Teichmuller iteration did not stabilize")
 
 
-@dataclass(frozen=True)
-class TruncatedDworkMatrix:
-    pair: SubsetPair
-    basis: tuple
-    entries: tuple[tuple[PiElt, ...], ...]
-    p: int
-    me: int
-    T: int
-
-    def trace(self) -> PiElt:
-        total = from_int(0, self.p, self.me)
-        for i in range(len(self.basis)):
-            total = total + self.entries[i][i]
-        return total
-
-
-def truncated_matrix(spec: VarietySpec, pair: SubsetPair, p: int, m: int, T: int,
-                     gamma: PiElt | None = None) -> TruncatedDworkMatrix:
-    """Matrix of the Dwork operator on the window of lattice points with
-    |t| <= T, rows and columns in window order.  Entry (x, y) is
-    gamma^((p-1)|t_y|) times the scalar G at budgets p*t_y - t_x."""
+def window_trace(spec: VarietySpec, pair: SubsetPair, p: int, m: int, T: int,
+                 gamma: PiElt | None = None) -> PiElt:
+    """Trace of the Dwork operator on the window of lattice points with
+    |t| <= T: the sum over the window of gamma^((p-1)|t_x|) times the scalar
+    G at budgets (p-1)*t_x and target (p-1)*v_x, the diagonal entries of the
+    truncated matrix, over Teichmuller weights mod p^m."""
     if m < T + 2:
         raise ValueError("precision must exceed the truncation level by 2")
     system = spec.system
-    basis = lattice_window(system, pair, T)
     if gamma is None:
         gamma = gamma_approximation(p, m)
     else:
@@ -261,19 +245,13 @@ def truncated_matrix(spec: VarietySpec, pair: SubsetPair, p: int, m: int, T: int
     fiber = fiber_reduction(system, pair)
     tables = [artin_hasse_weights(deltas, teich[key], modulus) for key in fiber.gens]
     gpow = {}
-    rows = []
-    for x in basis:
-        row = []
-        for y in basis:
-            e = (p - 1) * y.total
-            if e not in gpow:
-                gpow[e] = gamma ** e
-            budgets = tuple(p * ty - tx for tx, ty in zip(x.t, y.t))
-            target = tuple(p * vy - vx for vx, vy in zip(x.v, y.v))
-            val = fiber_sum(fiber, budgets, target, tables, 0, 1) % modulus
-            row.append(gpow[e].scale(val))
-        rows.append(tuple(row))
-    return TruncatedDworkMatrix(pair, tuple(basis), tuple(rows), p, gamma.me, T)
+    total = from_int(0, p, gamma.me)
+    for x in lattice_window(system, pair, T):
+        e = (p - 1) * x.total
+        if e not in gpow:
+            gpow[e] = gamma ** e
+        total = total + gpow[e].scale(_entry(fiber, p, x, x, tables, 0, 1) % modulus)
+    return total
 
 
 @dataclass(frozen=True)
@@ -324,7 +302,7 @@ def trace_formula_count(spec: VarietySpec, p: int, m: int | None = None,
     # common denominator p^s, divided out once at the end
     acc = from_int(p ** (n + s), p, m)
     for pair in active:
-        tr = truncated_matrix(spec, pair, p, m, T, gamma=gamma).trace()
+        tr = window_trace(spec, pair, p, m, T, gamma=gamma)
         scale = (p - 1) ** (len(pair.B) + len(pair.C)) * p ** (n - len(pair.B) - len(pair.C) + s)
         acc = acc + tr.scale(scale)
     total = acc.divide_p(s)
@@ -357,10 +335,11 @@ def leading_trace_congruence(spec: VarietySpec, pair: SubsetPair, p: int,
     w = int(w)
     if m is None:
         m = w + system.n + system.r + 2
-    matrix = truncated_matrix(spec, pair, p, m, w)
-    lhs = matrix.trace().divide_p(w).residue()
-    rhs = 0
-    for lp in zmin_for_pair(system, pair):
-        rhs = (rhs + g_polynomial(system, lp, p - 1, p).evaluate(spec.coefficients)) % p
+    lhs = window_trace(spec, pair, p, m, w).divide_p(w).residue()
+    fiber = fiber_reduction(system, pair)
+    residues = _unit_residues(p, fiber.gens, spec.coefficients)
+    deltas = artin_hasse_residues(p, p * w, p)
+    tables = [artin_hasse_weights(deltas, res, p) for res in residues]
+    rhs = _trace_power(fiber, zmin_for_pair(system, pair), p, 1, tables, 0, 1, lambda g, k: g)
     rhs = (-1) ** w * rhs % p
     return LeadingTraceReport(pair, w, lhs, rhs, lhs == rhs)

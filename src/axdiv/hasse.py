@@ -9,12 +9,13 @@ reduction mod p at the end.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .geometry import FiberReduction, fiber_reduction, fiber_sum
+from .geometry import FiberReduction, fiber_sum
 from .lattice import LatticePair, minimal_data
 from .model import CoefficientKey, SubsetPair, SupportSystem, coefficient_residue
 
@@ -170,37 +171,25 @@ def zero_polynomial(system: SupportSystem, p: int) -> SparsePolynomialModP:
     return SparsePolynomialModP(p, system.coefficient_keys(), {})
 
 
-def _check_power(p: int, a: int) -> None:
-    if a not in (1, 2):
-        raise ValueError("a must be 1 or 2")
-    if a == 2 and p > 13:
-        raise ValueError("a=2 is limited to p <= 13 (degree growth)")
-
-
 def _max_budget(system: SupportSystem, p: int) -> int:
     """Largest per-polynomial budget of any G in the blocks of H_p^[a]."""
     data = minimal_data(system)
     return max((p * lp.total for pairs in data.zmin.values() for lp in pairs), default=0)
 
 
-def _monomial_tables(system: SupportSystem, p: int, deltas: Sequence[int],
-                     twist: int = 1) -> dict[CoefficientKey, list[SparsePolynomialModP]]:
-    """Per coefficient key, the terms delta_x * A^(twist * x) for x = 0..len(deltas)-1."""
+def _monomial_tables(system: SupportSystem, p: int, deltas: Sequence[int]
+                     ) -> dict[CoefficientKey, list[SparsePolynomialModP]]:
+    """Per coefficient key, the terms delta_x * A^x for x = 0..len(deltas)-1."""
     variables = system.coefficient_keys()
     tables = {}
     for idx, key in enumerate(variables):
         column = []
         for x, d in enumerate(deltas):
             e = [0] * len(variables)
-            e[idx] = twist * x
+            e[idx] = x
             column.append(SparsePolynomialModP(p, variables, {tuple(e): d} if d else {}))
         tables[key] = column
     return tables
-
-
-def _one_polynomial(system: SupportSystem, p: int) -> SparsePolynomialModP:
-    return SparsePolynomialModP(p, system.coefficient_keys(),
-                                {(0,) * len(system.coefficient_keys()): 1})
 
 
 def _entry(fiber: FiberReduction, p: int, x: LatticePair, y: LatticePair,
@@ -210,59 +199,58 @@ def _entry(fiber: FiberReduction, p: int, x: LatticePair, y: LatticePair,
                      [p * vy - vx for vx, vy in zip(x.v, y.v)], weights, zero, one)
 
 
-def _trace_blocks(system: SupportSystem, p: int, a: int, tables: Mapping, twisted: Mapping,
-                  zero, one) -> dict[SubsetPair, tuple[int, object]]:
+def _trace_power(fiber: FiberReduction, basis: Sequence[LatticePair], p: int, a: int,
+                 weights: Sequence[Sequence], zero, one, twist):
+    """Tr(M^(sigma^(a-1)) ... M^sigma M) for the matrix M of _entry values
+    over basis, as the sum over closed walks x_0 -> ... -> x_(a-1) -> x_0 of
+    the products of sigma^(a-1-k) M(x_k, x_(k+1)); twist(g, k) applies
+    sigma^k.  An entry is computed on first use, at most once."""
+    entries: dict[tuple[int, int], object] = {}
+    total = zero
+    for walk in itertools.product(range(len(basis)), repeat=a):
+        term = one
+        for k, (i, j) in enumerate(zip(walk, walk[1:] + walk[:1])):
+            if (i, j) not in entries:
+                entries[i, j] = _entry(fiber, p, basis[i], basis[j], weights, zero, one)
+            term = term * twist(entries[i, j], a - 1 - k)
+        total = total + term
+    return total
+
+
+def _trace_blocks(system: SupportSystem, p: int, a: int, tables: Mapping,
+                  zero, one, twist) -> dict[SubsetPair, tuple[int, object]]:
     """Sign and unsigned value of every per-pair block of H_p^[a], keyed by
     the pairs of K, with G summed over the given weight tables.
 
-    The block is the trace of the matrix with entries G at budgets p*t_y - t_x
-    and target p*v_y - v_x over the minimal lattice pairs x, y: at a = 1 the
-    diagonal, at a = 2 the trace of the square, whose left factor G carries
-    the Frobenius twist A -> A^p (twisted; on residues mod p it is the
-    identity).  The caller has checked a with _check_power.
+    The block of a pair of weight w is (-1)^(|B|+|C|+a*w) times
+    Tr(M^(sigma^(a-1)) ... M^sigma M), where M is the matrix with entries G
+    at budgets p*t_y - t_x and target p*v_y - v_x over its minimal lattice
+    pairs x, y and sigma is the Frobenius twist A -> A^p (twist; on residues
+    mod p it is the identity).
     """
+    if a not in (1, 2):
+        raise ValueError("a must be 1 or 2")
     data = minimal_data(system)
     blocks = {}
     for pair, w in data.K:
         fiber = data.reductions[pair]
         weights = [tables[key] for key in fiber.gens]
-        twisted_weights = [twisted[key] for key in fiber.gens]
-        zmin = data.zmin[pair]
-        block = zero
-        if a == 1:
-            for x in zmin:
-                block = block + _entry(fiber, p, x, x, weights, zero, one)
-        else:
-            for x in zmin:
-                for y in zmin:
-                    block = block + (_entry(fiber, p, x, y, twisted_weights, zero, one)
-                                     * _entry(fiber, p, y, x, weights, zero, one))
+        block = _trace_power(fiber, data.zmin[pair], p, a, weights, zero, one, twist)
         blocks[pair] = ((-1) ** (len(pair.B) + len(pair.C) + a * w), block)
     return blocks
 
 
-def g_polynomial(system: SupportSystem, lp: LatticePair, scale: int,
-                 p: int) -> SparsePolynomialModP:
-    """G at the scaled pair (scale*t, scale*v), the building block of the traces."""
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
-    budgets = [scale * x for x in lp.t]
-    tables = _monomial_tables(system, p, artin_hasse_residues(p, max(budgets), p))
-    fiber = fiber_reduction(system, lp.pair)
-    return fiber_sum(fiber, budgets, [scale * x for x in lp.v],
-                     [tables[key] for key in fiber.gens],
-                     zero_polynomial(system, p), _one_polynomial(system, p))
-
-
 def hasse_blocks(system: SupportSystem, p: int, a: int = 1
                  ) -> dict[SubsetPair, SparsePolynomialModP]:
-    """Signed per-pair trace blocks of H_p^[a], keyed by the pairs of K."""
-    _check_power(p, a)
-    deltas = artin_hasse_residues(p, _max_budget(system, p), p)
-    tables = _monomial_tables(system, p, deltas)
-    twisted = _monomial_tables(system, p, deltas, twist=p) if a == 2 else tables
-    blocks = _trace_blocks(system, p, a, tables, twisted,
-                           zero_polynomial(system, p), _one_polynomial(system, p))
+    """Signed per-pair trace blocks of H_p^[a], keyed by the pairs of K.
+    The symbolic blocks grow quickly with p, so a = 2 stops at p = 13."""
+    if a == 2 and p > 13:
+        raise ValueError("a=2 is limited to p <= 13 (degree growth)")
+    tables = _monomial_tables(system, p, artin_hasse_residues(p, _max_budget(system, p), p))
+    keys = system.coefficient_keys()
+    one = SparsePolynomialModP(p, keys, {(0,) * len(keys): 1})
+    blocks = _trace_blocks(system, p, a, tables, zero_polynomial(system, p), one,
+                           lambda g, k: g.frobenius_twist(p ** k) if k else g)
     return {pair: block.scale(sign) for pair, (sign, block) in blocks.items()}
 
 
@@ -291,14 +279,14 @@ def hasse_value(system: SupportSystem, p: int,
 
     Agrees with hasse_polynomial(...).evaluate(coeffs) but skips the
     symbolic polynomial, whose term count grows quickly with p: the same
-    blocks are summed over scalar weights delta_x * c^x mod p.
+    blocks are summed over scalar weights delta_x * c^x mod p, on which the
+    Frobenius twist is the identity, so a = 2 has no limit on p here.
     """
-    _check_power(p, a)
     keys = system.coefficient_keys()
     residues = _unit_residues(p, keys, coeffs)
     deltas = artin_hasse_residues(p, _max_budget(system, p), p)
     tables = {key: artin_hasse_weights(deltas, res, p) for key, res in zip(keys, residues)}
-    blocks = _trace_blocks(system, p, a, tables, tables, 0, 1)
+    blocks = _trace_blocks(system, p, a, tables, 0, 1, lambda g, k: g)
     return sum(sign * block for sign, block in blocks.values()) % p
 
 

@@ -12,7 +12,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import axdiv.dwork
@@ -23,6 +22,7 @@ from axdiv import (
     artin_hasse_coefficients,
     build_field,
     from_int,
+    gamma_approximation,
     minimal_data,
     restrict_support,
 )
@@ -54,22 +54,20 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 def corrupt_first_trace(monkeypatch) -> None:
-    """Add 1 to the trace of the first truncated Dwork matrix with a
-    nonempty basis that trace_formula_count builds: a perturbation that a
-    certified count must surface as a wrong residue or a failed check."""
-    original = axdiv.dwork.truncated_matrix
+    """Add 1 to the first window trace that trace_formula_count takes: a
+    perturbation that a certified count must surface as a wrong residue or
+    a failed check."""
+    original = axdiv.dwork.window_trace
     done = []
 
     def perturbed(*args, **kwargs):
-        matrix = original(*args, **kwargs)
-        if done or not matrix.basis:
-            return matrix
+        trace = original(*args, **kwargs)
+        if done:
+            return trace
         done.append(True)
-        trace = matrix.trace()
-        return SimpleNamespace(basis=matrix.basis,
-                               trace=lambda: trace + from_int(1, trace.p, trace.me))
+        return trace + from_int(1, trace.p, trace.me)
 
-    monkeypatch.setattr(axdiv.dwork, "truncated_matrix", perturbed)
+    monkeypatch.setattr(axdiv.dwork, "window_trace", perturbed)
 
 
 def naive_prime_count(spec: VarietySpec, p: int) -> int:
@@ -244,6 +242,30 @@ def naive_hasse_value(system: SupportSystem, p: int, coeffs, a: int) -> int:
             block = sum(entries[x, y] * entries[y, x] for x in lps for y in lps)
         total += (-1) ** (len(pair.B) + len(pair.C) + a * w) * block
     return total % p
+
+
+def naive_window_trace(spec: VarietySpec, pair: SubsetPair, p: int, m: int, T: int):
+    """The Dwork window trace straight from its definition: over the window
+    of the LP scan, gamma^((p-1)|t|) times G at (p-1)*(t, v), G summed over
+    naive_fiber_points with weights delta_x * w^x mod p^m, w the
+    Teichmueller lift a^(p^(m-1)) of the coefficient a mod p."""
+    system = spec.system
+    mod = p ** m
+    gamma = gamma_approximation(p, m)
+    deltas = [d.numerator * pow(d.denominator, -1, mod) % mod
+              for d in artin_hasse_coefficients(p, p * T)]
+    tables = []
+    for j in pair.B:
+        for g in restrict_support(system, j, pair.C):
+            c = spec.coefficients[(j, g)]
+            lift = pow(c.numerator * pow(c.denominator, -1, mod), p ** (m - 1), mod)
+            tables.append([d * pow(lift, x, mod) % mod for x, d in enumerate(deltas)])
+    total = from_int(0, p, m)
+    for t, v in lp_lattice_window(system, pair, T):
+        G = naive_g(system, pair, [(p - 1) * x for x in t], [(p - 1) * x for x in v],
+                    tables, 0, 1)
+        total = total + (gamma ** ((p - 1) * sum(t))).scale(G % mod)
+    return total
 
 
 def _rref(matrix: list[list[Fraction]], rhs: list[Fraction]):

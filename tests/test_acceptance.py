@@ -221,7 +221,7 @@ def test_criterion_09_dwork_trace_formula(ex2_system):
     assert elapsed < 60
 
 
-def test_criterion_10_property_suites(ex2_system):
+def test_criterion_10_property_suites(ex2_system, corpus25):
     V = ex2_with(1, 1)
     issues = []
 
@@ -265,11 +265,18 @@ def test_criterion_10_property_suites(ex2_system):
         if not homogeneity_report(H, ex2_system, p).ok:
             issues.append(("homogeneity", p))
 
-    # leading trace congruence on the minimizing pairs
-    for pair, _ in minimal_data(ex2_system).K:
-        report = leading_trace_congruence(V, pair, 5)
-        if not report.ok:
-            issues.append(("leading-trace", pair))
+    # leading trace congruence on the minimizing pairs, of ex2 and of the
+    # corpus wherever every coefficient is a unit mod p
+    cases = [(V, 5)] + [(spec, p) for spec in corpus25 for p in (3, 5, 7)
+                        if all(c.numerator % p for c in spec.coefficients.values())]
+    leading = 0
+    for spec, p in cases:
+        for pair, _ in minimal_data(spec.system).K:
+            leading += 1
+            if not leading_trace_congruence(spec, pair, p).ok:
+                issues.append(("leading-trace", spec, pair, p))
+    if leading != 3 + 70:
+        issues.append(("leading-trace-cases", leading))
 
     # the density report is labelled as a window statistic, not a theorem
     with warnings.catch_warnings():

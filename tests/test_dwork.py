@@ -6,25 +6,30 @@ import math
 import random
 
 import pytest
-from helpers import corrupt_first_trace
+from helpers import corrupt_first_trace, count_calls, naive_window_trace
 
+import axdiv.dwork
 from axdiv import (
     GammaError,
     NonIntegralError,
+    PiElt,
     build_field,
     count_points,
+    fiber_sum,
     from_int,
     gamma_approximation,
+    generate_corpus,
     invert_unit,
+    lattice_window,
     leading_trace_congruence,
     pi_element,
     subset_pair,
     support_system,
     teichmuller_lift,
     trace_formula_count,
-    truncated_matrix,
     unit_variety,
     variety_spec,
+    window_trace,
 )
 
 
@@ -121,12 +126,38 @@ def test_teichmuller_goldens_and_laws():
                 assert lifts[a] * lifts[b] % mod == lifts[a * b % p]
 
 
-def test_truncated_matrix_window_and_guard(ex2_variety):
+def test_window_trace_golden_and_guard(ex2_variety):
     pair = subset_pair([1], [2, 3])
-    matrix = truncated_matrix(ex2_variety, pair, 3, m=6, T=2)
-    assert [(lp.t, lp.v) for lp in matrix.basis] == [((1,), (0, 2, 2)), ((2,), (0, 4, 4))]
+    assert [(lp.t, lp.v) for lp in lattice_window(ex2_variety.system, pair, 2)] == [
+        ((1,), (0, 2, 2)), ((2,), (0, 4, 4))]
+    assert window_trace(ex2_variety, pair, 3, m=6, T=2) == PiElt(3, 6, (201, 0))
     with pytest.raises(ValueError):
-        truncated_matrix(ex2_variety, pair, 3, m=3, T=2)
+        window_trace(ex2_variety, pair, 3, m=3, T=2)
+
+
+def test_window_trace_matches_naive_definition():
+    # An oracle that shares no code with the fiber kernel or the facet scan:
+    # the LP window, brute-force fiber points and Teichmueller lifts by powering.
+    checked = 0
+    for spec in generate_corpus(1, 8):
+        system = spec.system
+        T = 2
+        m = T + system.n + system.r + 2
+        for pair in axdiv.dwork._active_pairs(system)[0]:
+            for p in (3, 5):
+                assert window_trace(spec, pair, p, m, T) == naive_window_trace(spec, pair, p, m, T)
+                checked += 1
+    assert checked == 90  # 45 active pairs, two primes
+
+
+def test_trace_formula_reads_only_the_diagonal(ex2_variety, monkeypatch):
+    # One G per window point: the trace never builds an off-diagonal entry.
+    system = ex2_variety.system
+    window = sum(len(lattice_window(system, pair, 2))
+                 for pair in axdiv.dwork._active_pairs(system)[0])
+    calls = count_calls(monkeypatch, fiber_sum)
+    trace_formula_count(ex2_variety, 3)
+    assert len(calls) == window > 0
 
 
 def line_spec():

@@ -7,19 +7,20 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from helpers import naive_hasse_value
+from helpers import count_calls, naive_hasse_value
 
 from axdiv import (
-    LatticePair,
     SparsePolynomialModP,
     artin_hasse_coefficients,
-    g_polynomial,
+    fiber_sum,
     hasse_blocks,
     hasse_polynomial,
     hasse_value,
     homogeneity_report,
     minimal_data,
+    sharpness_record,
     subset_pair,
+    variety_spec,
     zero_polynomial,
 )
 
@@ -73,13 +74,11 @@ def test_sparse_polynomial_evaluate_guards():
     assert x.evaluate({A_MIXED: 2}) == 4
 
 
-def test_g_polynomial_golden(ex2_system):
-    # G at 4 * ((1,), (0,2,2)): single fiber point u = (4,), delta_4 = 1/24 = 4 mod 5.
-    lp = LatticePair(subset_pair([1], [2, 3]), (1,), (0, 2, 2))
-    g = g_polynomial(ex2_system, lp, 4, 5)
-    assert str(g) == "4*A[1,(0,2,2)]^4"
-    with pytest.raises(ValueError):
-        g_polynomial(ex2_system, lp, 0, 5)
+def test_hasse_block_golden(ex2_system):
+    # The block of {1}/{2,3} is G at 4 * ((1,), (0,2,2)): the single fiber
+    # point u = (4,), delta_4 = 1/24 = 4 mod 5, sign (-1)^(1 + 2 + 1) = 1.
+    blocks = hasse_blocks(ex2_system, 5)
+    assert str(blocks[subset_pair([1], [2, 3])]) == "4*A[1,(0,2,2)]^4"
 
 
 def test_hasse_polynomial_golden_strings(ex2_system):
@@ -172,8 +171,31 @@ def test_hasse_value_guards(ex2_system):
         hasse_value(ex2_system, 3, {A_MIXED: Fraction(1, 3), A_CUBE: 1})
     with pytest.raises(ValueError):
         hasse_value(ex2_system, 5, {A_MIXED: 1})
-    with pytest.raises(ValueError):
-        hasse_value(ex2_system, 17, {A_MIXED: 1, A_CUBE: 1}, a=2)
+    # Only the symbolic polynomial stops at p = 13 for a = 2; the value runs
+    # wherever the counter does, and the congruence holds there.
+    spec = variety_spec(ex2_system, {A_MIXED: 1, A_CUBE: 1})
+    for p in (17, 19):
+        rec = sharpness_record(spec, p, a=2)
+        assert rec.hasse_value == p - 1
+        assert rec.congruent and rec.predicted_sharp and rec.observed_sharp
+
+
+def test_each_trace_entry_is_computed_once(ex2_system, corpus25, monkeypatch):
+    # One G per closed walk step that is new: sum |Zmin| at a = 1 and
+    # sum |Zmin|^2 at a = 2, on both the value and the symbolic path.
+    cases = [(ex2_system, {A_MIXED: 1, A_CUBE: 1}),
+             (corpus25[0].system, corpus25[0].coefficients)]
+    calls = count_calls(monkeypatch, fiber_sum)
+    for system, coeffs in cases:
+        sizes = [len(lps) for lps in minimal_data(system).zmin.values()]
+        for a in (1, 2):
+            expected = sum(size ** a for size in sizes)
+            calls.clear()
+            hasse_value(system, 7, coeffs, a)
+            assert len(calls) == expected
+            calls.clear()
+            hasse_blocks(system, 7, a)
+            assert len(calls) == expected
 
 
 def test_hasse_value_matches_naive_definition(corpus25):
