@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import fiber_reduction
 from .hasse import _entry, _trace_power, _unit_residues, artin_hasse_residues, artin_hasse_weights
-from .lattice import lattice_window, weight_wz, zmin_for_pair
+from .lattice import lattice_window, pair_fiber, weight_wz, zmin_for_pair
 from .model import (
     SubsetPair,
     SupportSystem,
@@ -230,10 +229,14 @@ def window_trace(spec: VarietySpec, pair: SubsetPair, p: int, m: int, T: int,
     """Trace of the Dwork operator on the window of lattice points with
     |t| <= T: the sum over the window of gamma^((p-1)|t_x|) times the scalar
     G at budgets (p-1)*t_x and target (p-1)*v_x, the diagonal entries of the
-    truncated matrix, over Teichmuller weights mod p^m."""
+    truncated matrix, over Teichmuller weights mod p^m.  An empty window
+    gives 0 before any table is built."""
     if m < T + 2:
         raise ValueError("precision must exceed the truncation level by 2")
     system = spec.system
+    window = lattice_window(system, pair, T)
+    if not window:
+        return from_int(0, p, m if gamma is None else min(gamma.me, m))
     if gamma is None:
         gamma = gamma_approximation(p, m)
     else:
@@ -242,11 +245,11 @@ def window_trace(spec: VarietySpec, pair: SubsetPair, p: int, m: int, T: int,
     deltas = artin_hasse_residues(p, p * T, modulus)
     teich = {key: teichmuller_lift(coefficient_residue(val, p, modulus), p, gamma.me)
              for key, val in spec.coefficients.items()}
-    fiber = fiber_reduction(system, pair)
+    fiber = pair_fiber(system, pair)
     tables = [artin_hasse_weights(deltas, teich[key], modulus) for key in fiber.gens]
     gpow = {}
     total = from_int(0, p, gamma.me)
-    for x in lattice_window(system, pair, T):
+    for x in window:
         e = (p - 1) * x.total
         if e not in gpow:
             gpow[e] = gamma ** e
@@ -336,7 +339,7 @@ def leading_trace_congruence(spec: VarietySpec, pair: SubsetPair, p: int,
     if m is None:
         m = w + system.n + system.r + 2
     lhs = window_trace(spec, pair, p, m, w).divide_p(w).residue()
-    fiber = fiber_reduction(system, pair)
+    fiber = pair_fiber(system, pair)
     residues = _unit_residues(p, fiber.gens, spec.coefficients)
     deltas = artin_hasse_residues(p, p * w, p)
     tables = [artin_hasse_weights(deltas, res, p) for res in residues]

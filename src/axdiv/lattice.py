@@ -5,10 +5,13 @@ positive exactly on C, is a nonnegative rational combination of the restricted
 supports with per-polynomial sums t_j.  The combinatorial value
 min over pairs of n - |B| - |C| + w_Z(B,C) must agree with the polytope route
 w(f) - r; both are computed here and a disagreement raises ConsistencyError.
+Every scan of the first route starts at weight_floor, an integer lower bound
+on w_Z(B,C) from the degree argument behind Ax-Katz; the second uses none.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -28,7 +31,6 @@ from .model import (
     ExponentVector,
     SubsetPair,
     SupportSystem,
-    enumerate_subset_pairs,
 )
 
 INFINITE_WEIGHT = math.inf
@@ -78,7 +80,7 @@ class MinimalData:
     @cached_property
     def reductions(self) -> Mapping[SubsetPair, FiberReduction]:
         """The row-reduced fiber equations of every pair of K."""
-        return MappingProxyType({pair: _cone(self.system, pair)[0] for pair, _ in self.K})
+        return MappingProxyType({pair: pair_fiber(self.system, pair) for pair, _ in self.K})
 
     @cached_property
     def vertices(self) -> Mapping[LatticePair, tuple[tuple[Point, ...], int]]:
@@ -118,6 +120,82 @@ def _cone(system: SupportSystem, pair: SubsetPair):
                   and all(any(g[i - 1] for _, g in fiber.gens) for i in pair.C))
         cones[pair] = (fiber, cone_facets(fiber)) if finite else None
     return cones[pair]
+
+
+def pair_fiber(system: SupportSystem, pair: SubsetPair) -> FiberReduction:
+    """The row-reduced fiber equations the scans of pair use, built once per
+    system and pair; ValueError when w_Z(B,C) is infinite."""
+    cone = _cone(system, pair)
+    if cone is None:
+        raise ValueError(f"infinite weight for pair {pair}")
+    return cone[0]
+
+
+# the grading of every system analysed so far, per live system
+_GRADINGS: weakref.WeakKeyDictionary[SupportSystem, tuple] = weakref.WeakKeyDictionary()
+
+
+def _grading(system: SupportSystem):
+    """lambda, and per polynomial the (support bit mask, lambda-degree) of
+    each monomial, built once per system.  lambda_i = L / e_i, where e_i is
+    the largest exponent of x_i in any monomial (1 when x_i appears in none)
+    and L = lcm(e_i): the integer grading under which every x_i^(e_i) has
+    degree L."""
+    if system not in _GRADINGS:
+        tops = [max(1, max(g[i] for gs in system.supports for g in gs)) for i in range(system.n)]
+        L = math.lcm(*tops)
+        lam = tuple(L // e for e in tops)
+        _GRADINGS[system] = (lam, [[(sum(1 << i for i, e in enumerate(g) if e),
+                                     sum(x * e for x, e in zip(lam, g))) for g in gs]
+                                   for gs in system.supports])
+    return _GRADINGS[system]
+
+
+def _top_degrees(graded, B: Sequence[int], mask: int) -> list[int] | None:
+    """M_j for each j of B: the largest lambda-degree of a monomial of f_j
+    supported inside the coordinates of mask, or None when some f_j has
+    none there."""
+    tops = []
+    for j in B:
+        inside = [d for m, d in graded[j - 1] if not m & ~mask]
+        if not inside:
+            return None
+        tops.append(max(inside))
+    return tops
+
+
+def _floor(lam_C: int, tops: Sequence[int]) -> int | float:
+    """|B| + ceil(max(0, lam_C - sum_j M_j) / max_j M_j) for tops = (M_j),
+    or INFINITE_WEIGHT when every M_j is 0."""
+    if max(tops) == 0:
+        return INFINITE_WEIGHT
+    return len(tops) - (-max(0, lam_C - sum(tops)) // max(tops))
+
+
+def weight_floor(system: SupportSystem, pair: SubsetPair) -> int | float:
+    """An integer lower bound on w_Z(B,C): the degree argument behind the
+    Ax-Katz bound, pair by pair.
+
+    Grade x_i by lambda_i (see _grading) and let M_j be the largest degree
+    of a monomial of restrict_support(j, C).  A point (t, v) of Z_{B,C} has
+    every v_i >= 1 on C, so lambda . v >= sum over C of lambda_i; and v is a
+    combination of the restricted supports with sums t_j, so
+    lambda . v <= sum_j t_j M_j <= sum_j M_j + (|t| - |B|) max_j M_j, since
+    every t_j >= 1.  Hence |t| >= |B| + ceil((sum_C lambda_i - sum_j M_j) /
+    max_j M_j).  INFINITE_WEIGHT when some restricted support is empty or
+    every M_j is 0.
+    """
+    lam, graded = _grading(system)
+    tops = _top_degrees(graded, pair.B, sum(1 << (i - 1) for i in pair.C))
+    if tops is None:
+        return INFINITE_WEIGHT
+    return _floor(sum(lam[i - 1] for i in pair.C), tops)
+
+
+def _cheapest(lam: Sequence[int]) -> list[int]:
+    """Entry k is the sum of the k smallest lambda_i, k = 0..n: the least
+    sum_C lambda_i over the sets C of size k."""
+    return list(itertools.accumulate(sorted(lam), initial=0))
 
 
 def _feasible_targets(fiber: FiberReduction, facets: Sequence[tuple[int, ...]],
@@ -185,16 +263,19 @@ def weight_wz(system: SupportSystem, pair: SubsetPair,
 
     When finite the weight is at most |B| + |C| (one covering generator per
     coordinate of C plus one filler per polynomial of B), so the default scan
-    is exhaustive.  A smaller cap restricts the scan; the infinite return then
-    only certifies w_Z > cap.
+    is exhaustive.  It starts at weight_floor, below which no (t, v) exists,
+    and builds no cone when the floor already passes |B| + |C| or the cap.
+    A smaller cap restricts the scan; the infinite return then only
+    certifies w_Z > cap.
     """
     bound = len(pair.B) + len(pair.C)
     if cap is not None:
         bound = min(bound, cap)
-    cone = _cone(system, pair) if bound >= len(pair.B) else None
+    floor = weight_floor(system, pair)
+    cone = _cone(system, pair) if floor <= bound else None
     if cone is None:
         return INFINITE_WEIGHT
-    for total in range(len(pair.B), bound + 1):
+    for total in range(floor, bound + 1):
         for t in _compositions(total, len(pair.B)):
             if next(_feasible_targets(*cone, t), None) is not None:
                 return total
@@ -214,9 +295,11 @@ def _layer(fiber: FiberReduction, facets: Sequence[tuple[int, ...]],
 def zmin_for_pair(system: SupportSystem, pair: SubsetPair) -> list[LatticePair]:
     """All (t, v) in Z_{B,C} attaining |t| = w_Z(B,C), in (t, v) order: the
     first nonempty layer of the scan that weight_wz bounds."""
-    cone = _cone(system, pair)
+    floor = weight_floor(system, pair)
+    bound = len(pair.B) + len(pair.C)
+    cone = _cone(system, pair) if floor <= bound else None
     if cone is not None:
-        for total in range(len(pair.B), len(pair.B) + len(pair.C) + 1):
+        for total in range(floor, bound + 1):
             layer = _layer(*cone, total)
             if layer:
                 return layer
@@ -224,11 +307,13 @@ def zmin_for_pair(system: SupportSystem, pair: SubsetPair) -> list[LatticePair]:
 
 
 def lattice_window(system: SupportSystem, pair: SubsetPair, L: int) -> list[LatticePair]:
-    """All (t, v) in Z_{B,C} with |t| <= L, ordered by |t| then lex."""
-    cone = _cone(system, pair)
+    """All (t, v) in Z_{B,C} with |t| <= L, ordered by |t| then lex; layers
+    below weight_floor are empty and not scanned."""
+    floor = weight_floor(system, pair)
+    cone = _cone(system, pair) if floor <= L else None
     if cone is None:
         return []
-    return [lp for total in range(len(pair.B), L + 1) for lp in _layer(*cone, total)]
+    return [lp for total in range(floor, L + 1) for lp in _layer(*cone, total)]
 
 
 def weight_polytope(system: SupportSystem) -> int:
@@ -276,26 +361,40 @@ def minimal_data(system: SupportSystem) -> MinimalData:
     Equal systems share one result for as long as the first of them lives.
     The polytope-route value mu_hat = w(f) - r caps every per-pair weight
     scan: a pair can only reach n - |B| - |C| + w_Z = mu_hat when
-    w_Z <= mu_hat + |B| + |C| - n, and since w_Z >= |B| the term never drops
-    below n - |C|.  The capped scan still certifies the minimum, so any
-    disagreement with mu_hat is an error.
+    w_Z <= mu_hat + |B| + |C| - n.  Pairs are walked B, then C by size and
+    lex, the order of enumerate_subset_pairs, so K comes out in that order.
+    A whole size k of C is skipped when the weight floor made free of C (the
+    k smallest lambda_i, and each M_j over the full support of f_j) already
+    puts the term above mu_hat, and each scan starts at its pair's
+    weight_floor and stops at the cap.  Both floors are proven lower bounds
+    on w_Z, so a pruned pair has a term above mu_hat and no pair that could
+    undercut mu_hat is ever skipped: the scans still certify the minimum,
+    and any disagreement with mu_hat is an error.  weight_polytope uses no
+    floor, so the two routes stay independent.
     """
     cached = _ANALYSES.get(system)
     if cached is not None:
         return cached
     mu_hat = weight_polytope(system) - system.r
     n, r = system.n, system.r
+    lam, graded = _grading(system)
+    cheapest = _cheapest(lam)
     weights: dict[SubsetPair, int] = {}
     best: int | None = None
-    for pair in enumerate_subset_pairs(n, r):
-        if n - len(pair.C) > mu_hat:
-            continue
-        w = weight_wz(system, pair, cap=mu_hat + len(pair.B) + len(pair.C) - n)
-        if w == INFINITE_WEIGHT:
-            continue
-        weights[pair] = int(w)
-        term = n - len(pair.B) - len(pair.C) + int(w)
-        best = term if best is None else min(best, term)
+    for nb in range(1, r + 1):
+        for B in itertools.combinations(range(1, r + 1), nb):
+            full = _top_degrees(graded, B, (1 << n) - 1)
+            for k in range(1, n + 1):
+                if n - nb - k + _floor(cheapest[k], full) > mu_hat:
+                    continue
+                for C in itertools.combinations(range(1, n + 1), k):
+                    pair = SubsetPair(B, C)
+                    w = weight_wz(system, pair, cap=mu_hat + nb + k - n)
+                    if w == INFINITE_WEIGHT:
+                        continue
+                    weights[pair] = int(w)
+                    term = n - nb - k + int(w)
+                    best = term if best is None else min(best, term)
     if best is None or best != mu_hat:
         raise ConsistencyError(
             f"combinatorial minimum {best} does not match polytope value {mu_hat}")

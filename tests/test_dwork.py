@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 
 import pytest
 from helpers import corrupt_first_trace, count_calls, naive_window_trace
 
 import axdiv.dwork
+import axdiv.lattice
 from axdiv import (
     GammaError,
     NonIntegralError,
     PiElt,
     build_field,
     count_points,
+    fiber_reduction,
     fiber_sum,
     from_int,
     gamma_approximation,
@@ -31,6 +34,7 @@ from axdiv import (
     variety_spec,
     window_trace,
 )
+from axdiv.lattice import weight_floor
 
 
 def random_elements(p, me, count, seed):
@@ -158,6 +162,24 @@ def test_trace_formula_reads_only_the_diagonal(ex2_variety, monkeypatch):
     calls = count_calls(monkeypatch, fiber_sum)
     trace_formula_count(ex2_variety, 3)
     assert len(calls) == window > 0
+
+
+def test_window_trace_reduces_each_pair_once(monkeypatch):
+    # a pair whose floor passes T has an empty window and gets 0 before any
+    # reduction; every other pair shares the one its window scan built
+    spec = generate_corpus(1, 8)[1]
+    system = spec.system
+    active = axdiv.dwork._active_pairs(system)[0]
+    monkeypatch.setattr(axdiv.lattice, "_CONES", weakref.WeakKeyDictionary())
+    calls = count_calls(monkeypatch, fiber_reduction)
+    for p in (3, 5):
+        trace_formula_count(spec, p, T=2)
+    reduced = [pair for _, pair in calls]
+    assert len(reduced) == len(set(reduced))
+    assert set(reduced) == {pair for pair in active if weight_floor(system, pair) <= 2}
+    assert 0 < len(reduced) < len(active)
+    empty = next(pair for pair in active if pair not in reduced)
+    assert window_trace(spec, empty, 3, m=6, T=2) == from_int(0, 3, 6)
 
 
 def line_spec():

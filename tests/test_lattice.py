@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import pytest
 from helpers import (
@@ -38,6 +39,7 @@ from axdiv import (
     zmin_for_pair,
 )
 from axdiv.geometry import cone_facets
+from axdiv.lattice import weight_floor
 
 
 def test_weight_wz_goldens(ex2_system):
@@ -131,6 +133,125 @@ def test_scans_match_the_lp_scan(system):
         assert got == lp_lattice_window(system, pair, 2)
 
 
+# -- the Ax-Katz floor: a lower bound on every weight, checked on the LP scan
+
+
+@st.composite
+def floor_cases(draw):
+    """A system with n <= 5 and r <= 3, zero monomials and uncovered
+    variables allowed, and one subset pair of it."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(0, 3)] * n)
+    system = support_system(n, [draw(st.lists(vector, min_size=1, max_size=4, unique=True))
+                                for _ in range(r)])
+    B = draw(st.sets(st.integers(1, r), min_size=1))
+    C = draw(st.sets(st.integers(1, n), min_size=1))
+    return system, subset_pair(B, C)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=floor_cases())
+# a zero monomial and an uncovered variable x_3
+@example(case=(support_system(3, [[(0, 0, 0), (2, 1, 0)], [(0, 3, 0)]]),
+               subset_pair([1, 2], [1, 2])))
+@example(case=(support_system(3, [[(0, 0, 0), (2, 1, 0)], [(0, 3, 0)]]),
+               subset_pair([1], [1, 2, 3])))
+# mixed degrees, where the floor stays below the weight
+@example(case=(support_system(2, [[(2, 0), (0, 3)]]), subset_pair([1], [1, 2])))
+def test_floor_never_passes_the_lp_weight(case):
+    system, pair = case
+    want = lp_zmin_for_pair(system, pair)
+    if want is not None:
+        assert weight_floor(system, pair) <= sum(want[0][0]) == weight_wz(system, pair)
+
+
+@pytest.mark.parametrize("degrees", [(2, 2, 3, 3, 3), (2, 3, 3, 4, 4), (2,) * 6, (3,) * 5])
+def test_diagonal_floor_golden(degrees):
+    # on sum c_i x_i^d_i the floor is max(1, ceil(sum over C of 1/d_i)); with
+    # equal degrees that is the weight itself, with mixed ones a lower bound
+    system = diagonal_system(degrees)
+    for pair in enumerate_subset_pairs(system.n, 1):
+        closed = max(1, math.ceil(sum(Fraction(1, degrees[i - 1]) for i in pair.C)))
+        assert weight_floor(system, pair) == closed
+        if len(set(degrees)) == 1:
+            assert weight_wz(system, pair) == closed
+        else:
+            assert weight_wz(system, pair) >= closed
+    # x^2 + y^3: v_1/2 + v_2/3 = 1 has no solution with v >= 1
+    assert weight_floor(diagonal_system((2, 3)), subset_pair([1], [1, 2])) == 1
+    assert weight_wz(diagonal_system((2, 3)), subset_pair([1], [1, 2])) == 2
+
+
+def test_floor_is_infinite_without_a_restricted_monomial():
+    system = support_system(2, [[(1, 1)], [(0, 0), (2, 0)]])
+    # f_1 has no monomial inside C = {1}
+    assert weight_floor(system, subset_pair([1], [1])) is INFINITE_WEIGHT
+    # f_2 has only its constant inside C = {2}: every M_j is 0
+    assert weight_floor(system, subset_pair([2], [2])) is INFINITE_WEIGHT
+    assert weight_wz(system, subset_pair([2], [2])) is INFINITE_WEIGHT
+
+
+# -- the pruned pair walk against every pair scanned without a cap
+
+
+def uncapped_K(system):
+    """mu and K from weight_wz over every pair of enumerate_subset_pairs,
+    each scanned without a cap."""
+    n = system.n
+    weights = {pair: weight_wz(system, pair) for pair in enumerate_subset_pairs(n, system.r)}
+    terms = {pair: n - len(pair.B) - len(pair.C) + w for pair, w in weights.items()
+             if w != INFINITE_WEIGHT}
+    mu = min(terms.values())
+    return mu, tuple((pair, weights[pair]) for pair, term in terms.items() if term == mu)
+
+
+def walk_differs(system) -> bool:
+    """Whether minimal_data disagrees with uncapped_K, or with weight_polytope."""
+    try:
+        data = minimal_data(system)
+    except ConsistencyError:
+        return True
+    return (data.mu, data.K) != uncapped_K(system)
+
+
+# corpus seeds 1..3, and diagonal forms of mixed degrees: there the sets C
+# that reach mu are not the cheapest in lambda, which a corpus draw rarely is
+WALK_SYSTEMS = ([spec.system for seed in (1, 2, 3) for spec in generate_corpus(seed, 25)]
+                + [diagonal_system(d) for d in ((2, 2, 3, 3, 3), (2, 3, 4, 5, 6), (2, 2, 3))])
+
+
+def test_pair_walk_matches_every_uncapped_pair(fresh_analyses):
+    for system in WALK_SYSTEMS:
+        assert not walk_differs(system)
+
+
+@pytest.mark.parametrize("mutation", ["floor plus one", "largest lambdas"])
+def test_pair_walk_catches_a_loose_floor(monkeypatch, fresh_analyses, mutation):
+    # a floor one too high, or a size cut that sums the k largest lambda_i
+    # instead of the k smallest, prunes pairs that reach mu
+    if mutation == "floor plus one":
+        floor = axdiv.lattice.weight_floor
+        monkeypatch.setattr(axdiv.lattice, "weight_floor", lambda *args: floor(*args) + 1)
+    else:
+        cheapest = axdiv.lattice._cheapest
+        monkeypatch.setattr(axdiv.lattice, "_cheapest",
+                            lambda lam: [-x for x in cheapest([-x for x in lam])])
+    assert any(walk_differs(system) for system in WALK_SYSTEMS)
+
+
+def test_pair_walk_builds_one_cone_on_a_diagonal_quadric(monkeypatch, fresh_analyses):
+    # on x_1^2 + ... + x_10^2 only C = {1..10} reaches mu = 4: every smaller
+    # size of C is cut before a cone is built, and the full pair's cone is
+    # the one weight_polytope built
+    monkeypatch.setattr(axdiv.lattice, "_CONES", weakref.WeakKeyDictionary())
+    calls = count_calls(monkeypatch, cone_facets)
+    data = minimal_data(diagonal_system((2,) * 10))
+    assert data.mu == 4
+    assert [(pair.C, w) for pair, w in data.K] == [(tuple(range(1, 11)), 5)]
+    assert len(calls) == 1
+
+
 @st.composite
 def covered_systems(draw):
     """n <= 4, r <= 2, and x_i joins the first polynomial wherever no
@@ -148,12 +269,10 @@ def covered_systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(system=covered_systems())
 def test_two_routes_to_mu(system):
-    # the polytope route of minimal_data against the uncapped minimum of
-    # n - |B| - |C| + w_Z(B,C) over every subset pair
-    n = system.n
-    terms = [n - len(pair.B) - len(pair.C) + weight_wz(system, pair)
-             for pair in enumerate_subset_pairs(n, system.r)]
-    assert minimal_data(system).mu == min(terms)
+    # the polytope route and the pruned pair walk of minimal_data against
+    # the uncapped minimum of n - |B| - |C| + w_Z(B,C) over every subset
+    # pair, and the pairs that attain it
+    assert not walk_differs(system)
 
 
 @pytest.mark.parametrize("degrees, mu", [
