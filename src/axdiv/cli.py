@@ -157,8 +157,6 @@ def cmd_conditional(args) -> int:
 
 def cmd_hasse(args) -> int:
     spec = _load_spec(args.spec)
-    if args.prime is None:
-        raise InputError("--prime is required")
     H, hom = checked_hasse_polynomial(spec.system, args.prime, args.a)
     body = {"p": args.prime, "a": args.a, "polynomial": str(H),
             "homogeneous": hom.ok, "issues": list(hom.issues)}
@@ -170,8 +168,6 @@ def cmd_hasse(args) -> int:
 
 def cmd_count(args) -> int:
     spec = _load_spec(args.spec)
-    if args.prime is None:
-        raise InputError("--prime is required")
     report = count_report(spec, args.prime, args.a)
     body = {"p": report.p, "a": report.a, "count": report.count,
             "ord_q": str(report.valuation), "mu": report.mu,
@@ -185,8 +181,6 @@ def cmd_count(args) -> int:
 
 def cmd_dwork(args) -> int:
     spec = _load_spec(args.spec)
-    if args.prime is None:
-        raise InputError("--prime is required")
     p = args.prime
     trace = trace_formula_count(spec, p, m=args.precision, T=args.truncation)
     exact = count_points(spec, build_field(p, 1))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .hasse import _entry, _trace_power, _unit_residues, artin_hasse_residues, artin_hasse_weights
-from .lattice import lattice_window, pair_fiber, weight_wz, zmin_for_pair
+from .lattice import INFINITE_WEIGHT, lattice_window, pair_fiber, weight_floor, zmin_for_pair
 from .model import (
     SubsetPair,
     SupportSystem,
@@ -146,15 +146,13 @@ def pi_element(p: int, me: int) -> PiElt:
     return PiElt(p, me, (0, 1) + (0,) * (p - 3))
 
 
-def invert_unit(u: PiElt, steps: int | None = None) -> PiElt:
+def invert_unit(u: PiElt) -> PiElt:
     """Inverse of a unit congruent to 1 mod pi, by y <- y(2 - u y)."""
     if u.residue() % u.p == 0:
         raise ZeroDivisionError("element is not a unit")
     y = from_int(pow(u.residue(), -1, u.p), u.p, u.me)
     two = from_int(2, u.p, u.me)
-    if steps is None:
-        steps = max(3, (u.me * (u.p - 1)).bit_length() + 2)
-    for _ in range(steps):
+    for _ in range(max(3, (u.me * (u.p - 1)).bit_length() + 2)):
         y = y * (two - u * y)
     return y
 
@@ -269,19 +267,14 @@ class TraceCount:
 
 
 def _active_pairs(system: SupportSystem) -> tuple[list[SubsetPair], int]:
-    """Pairs whose restricted supports are all nonempty, and the shift s."""
-    active = []
-    s = 0
-    for pair in enumerate_subset_pairs(system.n, system.r):
-        ok = True
-        for j in pair.B:
-            if not any(all(g[i - 1] == 0 for i in range(1, system.n + 1) if i not in pair.C)
-                       for g in system.supports[j - 1]):
-                ok = False
-                break
-        if ok:
-            active.append(pair)
-            s = max(s, len(pair.B) + len(pair.C) - system.n)
+    """Pairs whose restricted supports are all nonempty, and the shift s.
+
+    Without constant terms every monomial has a positive lambda-degree, so
+    a pair has an empty restricted support exactly when its weight floor is
+    infinite."""
+    active = [pair for pair in enumerate_subset_pairs(system.n, system.r)
+              if weight_floor(system, pair) != INFINITE_WEIGHT]
+    s = max((len(pair.B) + len(pair.C) - system.n for pair in active), default=0)
     return active, max(0, s)
 
 
@@ -332,10 +325,8 @@ def leading_trace_congruence(spec: VarietySpec, pair: SubsetPair, p: int,
     window trace at truncation w = w_Z and the right side is the mod-p trace
     block evaluated at the coefficients."""
     system = spec.system
-    w = weight_wz(system, pair)
-    if w == math.inf:
-        raise ValueError("pair has no lattice points")
-    w = int(w)
+    zmin = zmin_for_pair(system, pair)
+    w = zmin[0].total
     if m is None:
         m = w + system.n + system.r + 2
     lhs = window_trace(spec, pair, p, m, w).divide_p(w).residue()
@@ -343,6 +334,6 @@ def leading_trace_congruence(spec: VarietySpec, pair: SubsetPair, p: int,
     residues = _unit_residues(p, fiber.gens, spec.coefficients)
     deltas = artin_hasse_residues(p, p * w, p)
     tables = [artin_hasse_weights(deltas, res, p) for res in residues]
-    rhs = _trace_power(fiber, zmin_for_pair(system, pair), p, 1, tables, 0, 1, lambda g, k: g)
+    rhs = _trace_power(fiber, zmin, p, 1, tables, 0, 1, lambda g, k: g)
     rhs = (-1) ** w * rhs % p
     return LeadingTraceReport(pair, w, lhs, rhs, lhs == rhs)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .geometry import FiberReduction, fiber_sum
-from .lattice import LatticePair, minimal_data
+from .lattice import LatticePair, minimal_data, pair_fiber
 from .model import CoefficientKey, SubsetPair, SupportSystem, coefficient_residue
 
 
@@ -233,7 +233,7 @@ def _trace_blocks(system: SupportSystem, p: int, a: int, tables: Mapping,
     data = minimal_data(system)
     blocks = {}
     for pair, w in data.K:
-        fiber = data.reductions[pair]
+        fiber = pair_fiber(system, pair)
         weights = [tables[key] for key in fiber.gens]
         block = _trace_power(fiber, data.zmin[pair], p, a, weights, zero, one, twist)
         blocks[pair] = ((-1) ** (len(pair.B) + len(pair.C) + a * w), block)

@@ -5,8 +5,13 @@ positive exactly on C, is a nonnegative rational combination of the restricted
 supports with per-polynomial sums t_j.  The combinatorial value
 min over pairs of n - |B| - |C| + w_Z(B,C) must agree with the polytope route
 w(f) - r; both are computed here and a disagreement raises ConsistencyError.
-Every scan of the first route starts at weight_floor, an integer lower bound
-on w_Z(B,C) from the degree argument behind Ax-Katz; the second uses none.
+
+Z_{B,C} is read in layers, the points with one |t|, each in (t, v) order.
+weight_wz, zmin_for_pair and lattice_window all read the layers of _layers,
+which start at weight_floor, an integer lower bound on w_Z(B,C) from the
+degree argument behind Ax-Katz; weight_polytope scans from |t| = r and uses
+no floor.  Everything remembered about a system (its grading, the cone of
+every pair scanned and its MinimalData) sits in one record per live system.
 """
 
 from __future__ import annotations
@@ -59,10 +64,10 @@ class LatticePair:
 
 @dataclass(frozen=True)
 class MinimalData:
-    """mu and the minimizing pair set K with weights; Zmin per pair, the
-    row-reduced fiber equations of every pair of K and the vertices of every
-    minimal level-1 fiber are built on first use.  Read-only, since one
-    instance is shared by every caller that analyses the same system."""
+    """mu and the minimizing pair set K with weights; Zmin per pair and the
+    vertices of every minimal level-1 fiber are built on first use, and
+    pair_fiber gives the fiber equations of a pair of K.  Read-only, since
+    one instance is shared by every caller that analyses the same system."""
 
     mu: int
     K: tuple[tuple[SubsetPair, int], ...]
@@ -78,20 +83,50 @@ class MinimalData:
                                  for pair, w in self.K})
 
     @cached_property
-    def reductions(self) -> Mapping[SubsetPair, FiberReduction]:
-        """The row-reduced fiber equations of every pair of K."""
-        return MappingProxyType({pair: pair_fiber(self.system, pair) for pair, _ in self.K})
-
-    @cached_property
     def vertices(self) -> Mapping[LatticePair, tuple[tuple[Point, ...], int]]:
         """Vertices and affine dimension of every minimal level-1 fiber,
         enumerated on first use."""
         out = {}
         for pair, lps in self.zmin.items():
+            fiber = pair_fiber(self.system, pair)
             for lp in lps:
-                vertices, dim = enumerate_vertices(self.reductions[pair], lp.t, lp.v)
+                vertices, dim = enumerate_vertices(fiber, lp.t, lp.v)
                 out[lp] = (tuple(vertices), dim)
         return MappingProxyType(out)
+
+
+@dataclass
+class _Record:
+    """Everything remembered about one live system.
+
+    grading is lambda and, per polynomial, the (support bit mask,
+    lambda-degree) of each monomial.  lambda_i = L / e_i, where e_i is the
+    largest exponent of x_i in any monomial (1 when x_i appears in none) and
+    L = lcm(e_i): the integer grading under which every x_i^(e_i) has degree
+    L.  cones holds the cone of every pair scanned so far (see _cone), and
+    data the result of minimal_data once it has run.
+    """
+
+    grading: tuple[tuple[int, ...], list[list[tuple[int, int]]]]
+    cones: dict[SubsetPair, tuple | None] = field(default_factory=dict)
+    data: MinimalData | None = None
+
+
+# one record per live system; an entry goes when its system is collected
+_RECORDS: weakref.WeakKeyDictionary[SupportSystem, _Record] = weakref.WeakKeyDictionary()
+
+
+def _record(system: SupportSystem) -> _Record:
+    """The record of system, made with its grading on first use."""
+    record = _RECORDS.get(system)
+    if record is None:
+        tops = [max(1, max(g[i] for gs in system.supports for g in gs)) for i in range(system.n)]
+        L = math.lcm(*tops)
+        lam = tuple(L // e for e in tops)
+        graded = [[(sum(1 << i for i, e in enumerate(g) if e), sum(x * e for x, e in zip(lam, g)))
+                   for g in gs] for gs in system.supports]
+        record = _RECORDS[system] = _Record((lam, graded))
+    return record
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -105,15 +140,11 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-# the cone of every pair scanned so far, per live system
-_CONES: weakref.WeakKeyDictionary[SupportSystem, dict] = weakref.WeakKeyDictionary()
-
-
 def _cone(system: SupportSystem, pair: SubsetPair):
     """The fiber equations of pair and the facets of their cone, or None when
     w_Z(B,C) is infinite: some polynomial of B has no monomial inside C, or
     some coordinate of C appears in none.  Built once per system and pair."""
-    cones = _CONES.setdefault(system, {})
+    cones = _record(system).cones
     if pair not in cones:
         fiber = fiber_reduction(system, pair)
         finite = (len(set(fiber.budget_index)) == len(pair.B)
@@ -129,26 +160,6 @@ def pair_fiber(system: SupportSystem, pair: SubsetPair) -> FiberReduction:
     if cone is None:
         raise ValueError(f"infinite weight for pair {pair}")
     return cone[0]
-
-
-# the grading of every system analysed so far, per live system
-_GRADINGS: weakref.WeakKeyDictionary[SupportSystem, tuple] = weakref.WeakKeyDictionary()
-
-
-def _grading(system: SupportSystem):
-    """lambda, and per polynomial the (support bit mask, lambda-degree) of
-    each monomial, built once per system.  lambda_i = L / e_i, where e_i is
-    the largest exponent of x_i in any monomial (1 when x_i appears in none)
-    and L = lcm(e_i): the integer grading under which every x_i^(e_i) has
-    degree L."""
-    if system not in _GRADINGS:
-        tops = [max(1, max(g[i] for gs in system.supports for g in gs)) for i in range(system.n)]
-        L = math.lcm(*tops)
-        lam = tuple(L // e for e in tops)
-        _GRADINGS[system] = (lam, [[(sum(1 << i for i, e in enumerate(g) if e),
-                                     sum(x * e for x, e in zip(lam, g))) for g in gs]
-                                   for gs in system.supports])
-    return _GRADINGS[system]
 
 
 def _top_degrees(graded, B: Sequence[int], mask: int) -> list[int] | None:
@@ -176,7 +187,7 @@ def weight_floor(system: SupportSystem, pair: SubsetPair) -> int | float:
     """An integer lower bound on w_Z(B,C): the degree argument behind the
     Ax-Katz bound, pair by pair.
 
-    Grade x_i by lambda_i (see _grading) and let M_j be the largest degree
+    Grade x_i by lambda_i (see _Record) and let M_j be the largest degree
     of a monomial of restrict_support(j, C).  A point (t, v) of Z_{B,C} has
     every v_i >= 1 on C, so lambda . v >= sum over C of lambda_i; and v is a
     combination of the restricted supports with sums t_j, so
@@ -185,7 +196,7 @@ def weight_floor(system: SupportSystem, pair: SubsetPair) -> int | float:
     max_j M_j).  INFINITE_WEIGHT when some restricted support is empty or
     every M_j is 0.
     """
-    lam, graded = _grading(system)
+    lam, graded = _record(system).grading
     tops = _top_degrees(graded, pair.B, sum(1 << (i - 1) for i in pair.C))
     if tops is None:
         return INFINITE_WEIGHT
@@ -257,63 +268,60 @@ def _feasible_targets(fiber: FiberReduction, facets: Sequence[tuple[int, ...]],
     yield from walk(0, start, [])
 
 
+def _layer(fiber: FiberReduction, facets: Sequence[tuple[int, ...]],
+           total: int) -> Iterator[LatticePair]:
+    """All (t, v) in Z_{B,C} with |t| = total, in (t, v) order; facets is
+    cone_facets(fiber).  _compositions gives t in lex order, and
+    _feasible_targets gives v in lex order over C with v zero off C, so the
+    points come sorted as they are found."""
+    for t in _compositions(total, len(fiber.pair.B)):
+        for v in _feasible_targets(fiber, facets, t):
+            yield LatticePair(fiber.pair, t, v)
+
+
+def _layers(system: SupportSystem, pair: SubsetPair,
+            top: int) -> Iterator[tuple[int, Iterator[LatticePair]]]:
+    """(|t|, the layer of Z_{B,C} at |t|) for |t| from weight_floor, below
+    which every layer is empty, up to top.  Nothing, and no cone built, when
+    the floor passes top or w_Z(B,C) is infinite."""
+    floor = weight_floor(system, pair)
+    cone = _cone(system, pair) if floor <= top else None
+    if cone is not None:
+        for total in range(floor, top + 1):
+            yield total, _layer(*cone, total)
+
+
 def weight_wz(system: SupportSystem, pair: SubsetPair,
               cap: int | None = None) -> int | float:
-    """The integral weight w_Z(B,C), or INFINITE_WEIGHT when no (t, v) exists.
+    """The integral weight w_Z(B,C): the first |t| whose layer has a point,
+    or INFINITE_WEIGHT when no (t, v) exists.
 
     When finite the weight is at most |B| + |C| (one covering generator per
     coordinate of C plus one filler per polynomial of B), so the default scan
-    is exhaustive.  It starts at weight_floor, below which no (t, v) exists,
-    and builds no cone when the floor already passes |B| + |C| or the cap.
-    A smaller cap restricts the scan; the infinite return then only
-    certifies w_Z > cap.
+    is exhaustive.  A smaller cap restricts the scan; the infinite return
+    then only certifies w_Z > cap.
     """
-    bound = len(pair.B) + len(pair.C)
+    top = len(pair.B) + len(pair.C)
     if cap is not None:
-        bound = min(bound, cap)
-    floor = weight_floor(system, pair)
-    cone = _cone(system, pair) if floor <= bound else None
-    if cone is None:
-        return INFINITE_WEIGHT
-    for total in range(floor, bound + 1):
-        for t in _compositions(total, len(pair.B)):
-            if next(_feasible_targets(*cone, t), None) is not None:
-                return total
-    return INFINITE_WEIGHT
-
-
-def _layer(fiber: FiberReduction, facets: Sequence[tuple[int, ...]],
-           total: int) -> list[LatticePair]:
-    """All (t, v) in Z_{B,C} with |t| = total, in (t, v) order; facets is
-    cone_facets(fiber)."""
-    out = [LatticePair(fiber.pair, t, v) for t in _compositions(total, len(fiber.pair.B))
-           for v in _feasible_targets(fiber, facets, t)]
-    out.sort(key=lambda lp: (lp.t, lp.v))
-    return out
+        top = min(top, cap)
+    return next((total for total, layer in _layers(system, pair, top)
+                 if next(layer, None) is not None), INFINITE_WEIGHT)
 
 
 def zmin_for_pair(system: SupportSystem, pair: SubsetPair) -> list[LatticePair]:
     """All (t, v) in Z_{B,C} attaining |t| = w_Z(B,C), in (t, v) order: the
-    first nonempty layer of the scan that weight_wz bounds."""
-    floor = weight_floor(system, pair)
-    bound = len(pair.B) + len(pair.C)
-    cone = _cone(system, pair) if floor <= bound else None
-    if cone is not None:
-        for total in range(floor, bound + 1):
-            layer = _layer(*cone, total)
-            if layer:
-                return layer
+    first nonempty layer."""
+    for _, layer in _layers(system, pair, len(pair.B) + len(pair.C)):
+        points = list(layer)
+        if points:
+            return points
     raise ValueError(f"infinite weight for pair {pair}")
 
 
 def lattice_window(system: SupportSystem, pair: SubsetPair, L: int) -> list[LatticePair]:
-    """All (t, v) in Z_{B,C} with |t| <= L, ordered by |t| then lex; layers
-    below weight_floor are empty and not scanned."""
-    floor = weight_floor(system, pair)
-    cone = _cone(system, pair) if floor <= L else None
-    if cone is None:
-        return []
-    return [lp for total in range(floor, L + 1) for lp in _layer(*cone, total)]
+    """All (t, v) in Z_{B,C} with |t| <= L, ordered by |t| then lex: every
+    layer up to L."""
+    return [lp for _, layer in _layers(system, pair, L) for lp in layer]
 
 
 def weight_polytope(system: SupportSystem) -> int:
@@ -333,25 +341,21 @@ def weight_polytope(system: SupportSystem) -> int:
         raise WeightUnreachableError("some variable appears in no monomial")
     gens = [(j, g) for j, gs in enumerate(system.supports, start=1) for g in gs]
     for total in range(system.r, system.n + system.r + 1):
-        for t in _compositions(total, system.r):
-            v = next(_feasible_targets(*cone, t), None)
-            if v is None:
-                continue
-            u = fiber_point(cone[0], t, v)
-            budgets = [0] * system.r
-            point = [0] * system.n
-            for (j, g), x in zip(gens, u or ()):
-                budgets[j - 1] += x
-                point = [y + x * e for y, e in zip(point, g)]
-            if (u is None or len(u) != len(gens) or any(x < 0 for x in u)
-                    or tuple(budgets) != t or tuple(point) != v):
-                raise ConsistencyError(f"witness t={t}, v={v} has no point in its fiber: {u}")
-            return total
+        hit = next(_layer(*cone, total), None)
+        if hit is None:
+            continue
+        t, v = hit.t, hit.v
+        u = fiber_point(cone[0], t, v)
+        budgets = [0] * system.r
+        point = [0] * system.n
+        for (j, g), x in zip(gens, u or ()):
+            budgets[j - 1] += x
+            point = [y + x * e for y, e in zip(point, g)]
+        if (u is None or len(u) != len(gens) or any(x < 0 for x in u)
+                or tuple(budgets) != t or tuple(point) != v):
+            raise ConsistencyError(f"witness t={t}, v={v} has no point in its fiber: {u}")
+        return total
     raise ConsistencyError("no positive integral point in any dilation up to n + r")
-
-
-# one analysis per live system; an entry goes when its system is collected
-_ANALYSES: weakref.WeakKeyDictionary[SupportSystem, MinimalData] = weakref.WeakKeyDictionary()
 
 
 def minimal_data(system: SupportSystem) -> MinimalData:
@@ -372,12 +376,12 @@ def minimal_data(system: SupportSystem) -> MinimalData:
     and any disagreement with mu_hat is an error.  weight_polytope uses no
     floor, so the two routes stay independent.
     """
-    cached = _ANALYSES.get(system)
-    if cached is not None:
-        return cached
+    record = _record(system)
+    if record.data is not None:
+        return record.data
     mu_hat = weight_polytope(system) - system.r
     n, r = system.n, system.r
-    lam, graded = _grading(system)
+    lam, graded = record.grading
     cheapest = _cheapest(lam)
     weights: dict[SubsetPair, int] = {}
     best: int | None = None
@@ -400,8 +404,8 @@ def minimal_data(system: SupportSystem) -> MinimalData:
             f"combinatorial minimum {best} does not match polytope value {mu_hat}")
     K = tuple((pair, w) for pair, w in weights.items()
               if n - len(pair.B) - len(pair.C) + w == mu_hat)
-    data = _ANALYSES[system] = MinimalData(mu_hat, K, SupportSystem(n, system.supports))
-    return data
+    record.data = MinimalData(mu_hat, K, SupportSystem(n, system.supports))
+    return record.data
 
 
 @dataclass(frozen=True)

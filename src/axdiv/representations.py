@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .geometry import fiber_sum
-from .lattice import LatticePair, MinimalData, minimal_data
+from .lattice import LatticePair, MinimalData, minimal_data, pair_fiber
 from .model import CoefficientKey, SupportSystem
 
 
@@ -45,11 +45,10 @@ def rational_representations(system: SupportSystem, lp: LatticePair
     representations; callers that care receive a warning via the conditional
     report.
     """
-    data = minimal_data(system)
-    vertices, dim = data.vertices[lp]
+    vertices, dim = minimal_data(system).vertices[lp]
     if dim < 0:
         raise RuntimeError(f"infeasible fiber for {lp}, violating its invariant")
-    gens = data.reductions[lp.pair].gens
+    gens = pair_fiber(system, lp.pair).gens
     out = []
     for u in vertices:
         d = math.lcm(*(x.denominator for x in u)) if u else 1
@@ -101,7 +100,7 @@ def conditional_number(system: SupportSystem) -> ConditionalReport:
                 f"fiber of (t={lp.t}, v={lp.v}) at {lp.pair.B}/{lp.pair.C} has dimension "
                 f"{dim}; vertex denominators understate the representation set")
         # the number of integral fiber points: G with every weight 1
-        fiber = data.reductions[lp.pair]
+        fiber = pair_fiber(system, lp.pair)
         ones = [[1] * (max(lp.t) + 1)] * len(fiber.gens)
         multiplicities[lp] = fiber_sum(fiber, lp.t, lp.v, ones, 0, 1)
     c: int | None = None

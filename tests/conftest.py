@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
+import axdiv.lattice
 import helpers
 from axdiv import generate_corpus, support_system, variety_spec
 
@@ -13,6 +16,15 @@ def pytest_terminal_summary(terminalreporter):
     for num, ok, detail in sorted(helpers.ACCEPTANCE_LOG):
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {num:2d}: {verdict} - {detail}")
+
+
+@pytest.fixture()
+def fresh_cache(monkeypatch):
+    """An empty per-system cache, so that systems analysed or scanned by
+    earlier tests do not answer for the ones built here."""
+    cache = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(axdiv.lattice, "_RECORDS", cache)
+    return cache
 
 
 @pytest.fixture(scope="session")

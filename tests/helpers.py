@@ -21,6 +21,7 @@ from axdiv import (
     VarietySpec,
     artin_hasse_coefficients,
     build_field,
+    enumerate_subset_pairs,
     from_int,
     gamma_approximation,
     minimal_data,
@@ -625,6 +626,24 @@ def lp_lattice_window(system: SupportSystem, pair: SubsetPair, L: int):
         return []
     return [lp for total in range(len(pair.B), L + 1)
             for lp in _lp_layer(system, pair, rest, total)]
+
+
+def naive_active_pairs(system: SupportSystem) -> tuple[list[SubsetPair], int]:
+    """The pairs whose every f_j of B has a monomial supported inside C, and
+    s = max(0, |B| + |C| - n) over them, by a direct loop over the supports."""
+    active = []
+    s = 0
+    for pair in enumerate_subset_pairs(system.n, system.r):
+        ok = True
+        for j in pair.B:
+            if not any(all(g[i - 1] == 0 for i in range(1, system.n + 1) if i not in pair.C)
+                       for g in system.supports[j - 1]):
+                ok = False
+                break
+        if ok:
+            active.append(pair)
+            s = max(s, len(pair.B) + len(pair.C) - system.n)
+    return active, max(0, s)
 
 
 def diagonal_mu(degrees) -> int:

@@ -95,6 +95,14 @@ def test_hasse_builds_the_blocks_once(ex2_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["hasse", "count", "dwork"])
+def test_missing_prime_exits_2(ex2_path, command):
+    # argparse requires --prime on these subcommands and exits before any runs
+    with pytest.raises(SystemExit) as exc:
+        main([command, ex2_path])
+    assert exc.value.code == 2
+
+
 def test_count_command(ex2_path, capsys):
     assert main(["count", ex2_path, "--prime", "5"]) == 0
     assert "|V(F_5^1)| = 45" in capsys.readouterr().out

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 
 import pytest
-from helpers import corrupt_first_trace, count_calls, naive_window_trace
+from helpers import corrupt_first_trace, count_calls, naive_active_pairs, naive_window_trace
 
 import axdiv.dwork
-import axdiv.lattice
 from axdiv import (
     GammaError,
     NonIntegralError,
@@ -154,6 +152,19 @@ def test_window_trace_matches_naive_definition():
     assert checked == 90  # 45 active pairs, two primes
 
 
+def test_active_pairs_match_the_support_loop():
+    # the weight floor is infinite exactly where some f_j of B has no
+    # monomial inside C, since no corpus system has a constant term
+    sizes = []
+    for seed in range(1, 6):
+        for spec in generate_corpus(seed, 8):
+            active, s = axdiv.dwork._active_pairs(spec.system)
+            assert (active, s) == naive_active_pairs(spec.system)
+            sizes.append(len(active))
+    assert sum(sizes[:8]) == 45
+    assert 0 < min(sizes)
+
+
 def test_trace_formula_reads_only_the_diagonal(ex2_variety, monkeypatch):
     # One G per window point: the trace never builds an off-diagonal entry.
     system = ex2_variety.system
@@ -164,13 +175,12 @@ def test_trace_formula_reads_only_the_diagonal(ex2_variety, monkeypatch):
     assert len(calls) == window > 0
 
 
-def test_window_trace_reduces_each_pair_once(monkeypatch):
+def test_window_trace_reduces_each_pair_once(monkeypatch, fresh_cache):
     # a pair whose floor passes T has an empty window and gets 0 before any
     # reduction; every other pair shares the one its window scan built
     spec = generate_corpus(1, 8)[1]
     system = spec.system
     active = axdiv.dwork._active_pairs(system)[0]
-    monkeypatch.setattr(axdiv.lattice, "_CONES", weakref.WeakKeyDictionary())
     calls = count_calls(monkeypatch, fiber_reduction)
     for p in (3, 5):
         trace_formula_count(spec, p, T=2)

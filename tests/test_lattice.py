@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import math
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -221,13 +220,13 @@ WALK_SYSTEMS = ([spec.system for seed in (1, 2, 3) for spec in generate_corpus(s
                 + [diagonal_system(d) for d in ((2, 2, 3, 3, 3), (2, 3, 4, 5, 6), (2, 2, 3))])
 
 
-def test_pair_walk_matches_every_uncapped_pair(fresh_analyses):
+def test_pair_walk_matches_every_uncapped_pair(fresh_cache):
     for system in WALK_SYSTEMS:
         assert not walk_differs(system)
 
 
 @pytest.mark.parametrize("mutation", ["floor plus one", "largest lambdas"])
-def test_pair_walk_catches_a_loose_floor(monkeypatch, fresh_analyses, mutation):
+def test_pair_walk_catches_a_loose_floor(monkeypatch, fresh_cache, mutation):
     # a floor one too high, or a size cut that sums the k largest lambda_i
     # instead of the k smallest, prunes pairs that reach mu
     if mutation == "floor plus one":
@@ -240,11 +239,10 @@ def test_pair_walk_catches_a_loose_floor(monkeypatch, fresh_analyses, mutation):
     assert any(walk_differs(system) for system in WALK_SYSTEMS)
 
 
-def test_pair_walk_builds_one_cone_on_a_diagonal_quadric(monkeypatch, fresh_analyses):
+def test_pair_walk_builds_one_cone_on_a_diagonal_quadric(monkeypatch, fresh_cache):
     # on x_1^2 + ... + x_10^2 only C = {1..10} reaches mu = 4: every smaller
     # size of C is cut before a cone is built, and the full pair's cone is
     # the one weight_polytope built
-    monkeypatch.setattr(axdiv.lattice, "_CONES", weakref.WeakKeyDictionary())
     calls = count_calls(monkeypatch, cone_facets)
     data = minimal_data(diagonal_system((2,) * 10))
     assert data.mu == 4
@@ -303,7 +301,7 @@ def test_weight_polytope_uncovered_variable():
 
 
 @pytest.mark.parametrize("drop, caught", [(0, (1, 3)), (-1, (0, 4))])
-def test_weight_polytope_catches_a_dropped_facet(monkeypatch, drop, caught):
+def test_weight_polytope_catches_a_dropped_facet(monkeypatch, fresh_cache, drop, caught):
     # without one facet of the full pair's cone the scan admits a target
     # whose fiber is empty, and the independent route must say so
     facets = axdiv.lattice.cone_facets
@@ -317,7 +315,6 @@ def test_weight_polytope_catches_a_dropped_facet(monkeypatch, drop, caught):
     monkeypatch.setattr(axdiv.lattice, "cone_facets", dropped)
     systems = [spec.system for spec in generate_corpus(1, 10)]
     for idx in caught:
-        monkeypatch.setattr(axdiv.lattice, "_CONES", weakref.WeakKeyDictionary())
         with pytest.raises(ConsistencyError, match="has no point in its fiber"):
             weight_polytope(systems[idx])
 
@@ -376,16 +373,7 @@ def test_psi_closure_negative_control(ex2_system, monkeypatch):
 # -- the analysis of a system is computed once and shared
 
 
-@pytest.fixture()
-def fresh_analyses(monkeypatch):
-    """An empty analysis cache, so that systems analysed by earlier tests do
-    not answer for the ones built here."""
-    cache = weakref.WeakKeyDictionary()
-    monkeypatch.setattr(axdiv.lattice, "_ANALYSES", cache)
-    return cache
-
-
-def test_equal_systems_share_one_lattice_scan(monkeypatch, fresh_analyses):
+def test_equal_systems_share_one_lattice_scan(monkeypatch, fresh_cache):
     calls = count_calls(monkeypatch, weight_polytope)
     first = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
     second = support_system(3, [[(0, 2, 2), (3, 3, 0)]])
@@ -394,7 +382,7 @@ def test_equal_systems_share_one_lattice_scan(monkeypatch, fresh_analyses):
     assert len(calls) == 1
 
 
-def test_bound_report_then_conditional_number_scan_once(monkeypatch, fresh_analyses):
+def test_bound_report_then_conditional_number_scan_once(monkeypatch, fresh_cache):
     calls = count_calls(monkeypatch, weight_polytope)
     system = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
     assert bound_report(system).mu_polytope == 1
@@ -402,18 +390,20 @@ def test_bound_report_then_conditional_number_scan_once(monkeypatch, fresh_analy
     assert len(calls) == 1
 
 
-def test_bound_report_leaves_zmin_unbuilt(monkeypatch, fresh_analyses):
-    # zmin is built one |t| layer per pair of K, at the weight K holds
-    calls = count_calls(monkeypatch, axdiv.lattice._layer)
+def test_bound_report_leaves_zmin_unbuilt(monkeypatch, fresh_cache):
     system = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
     assert bound_report(system).mu_polytope == 1
-    assert len(calls) == 0
-    # the first reader of zmin builds it, one call per pair of K
+    data = minimal_data(system)
+    assert "zmin" not in vars(data)
+    # the first reader of zmin builds it: one |t| layer per pair of K, at
+    # the weight K holds
+    calls = count_calls(monkeypatch, axdiv.lattice._layer)
     assert conditional_number(system).c_value == -1
-    assert len(calls) == len(minimal_data(system).K) == 3
+    assert [(fiber.pair, total) for fiber, _, total in calls] == list(data.K)
+    assert len(calls) == 3
 
 
-def test_conditional_number_enumerates_each_minimal_fiber_once(monkeypatch, fresh_analyses):
+def test_conditional_number_enumerates_each_minimal_fiber_once(monkeypatch, fresh_cache):
     calls = count_calls(monkeypatch, enumerate_vertices)
     system = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
     assert conditional_number(system).c_value == -1
@@ -429,9 +419,7 @@ def test_shared_analysis_is_read_only(ex2_system):
     assert len(data.zmin[pair]) == 1
 
 
-def test_each_pair_cone_is_built_once_per_system(monkeypatch, fresh_analyses):
-    cones = weakref.WeakKeyDictionary()
-    monkeypatch.setattr(axdiv.lattice, "_CONES", cones)
+def test_each_pair_cone_is_built_once_per_system(monkeypatch, fresh_cache):
     calls = count_calls(monkeypatch, cone_facets)
     system = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
     conditional_number(system)
@@ -442,16 +430,16 @@ def test_each_pair_cone_is_built_once_per_system(monkeypatch, fresh_analyses):
     assert len(calls) == len({fiber.pair for (fiber,) in calls}) > 0
     # a cap below |B| answers before any cone is built
     assert weight_wz(system, subset_pair([1], [1]), cap=0) == INFINITE_WEIGHT
-    assert subset_pair([1], [1]) not in cones[system]
+    assert subset_pair([1], [1]) not in fresh_cache[system].cones
     del system
     gc.collect()
-    assert len(cones) == 0
+    assert len(fresh_cache) == 0
 
 
-def test_analysis_lives_as_long_as_its_system(fresh_analyses):
+def test_analysis_lives_as_long_as_its_system(fresh_cache):
     system = support_system(3, [[(3, 3, 0), (0, 2, 2)]])
     minimal_data(system)
-    assert [ref() is system for ref in fresh_analyses.keyrefs()] == [True]
+    assert [ref() is system for ref in fresh_cache.keyrefs()] == [True]
     del system
     gc.collect()
-    assert len(fresh_analyses) == 0
+    assert len(fresh_cache) == 0
